@@ -195,3 +195,7 @@ def pattern(name, t, d, out):
     except ValueError as e:
         raise click.UsageError(f"{e}; known names: {', '.join(BUILTIN_NAMES)}")
     _emit(p.to_dict(), out)
+
+
+if __name__ == "__main__":
+    main()

@@ -38,6 +38,7 @@ class Polynomial:
 
     The leading coefficient must be exactly 1 on the rational backend and
     within 1e-12 of 1 on the float backend, where it is snapped to 1.0.
+    Float coefficients must be finite.
     """
 
     coeffs: tuple
@@ -51,6 +52,8 @@ class Polynomial:
             if lead != 1:
                 raise ValueError(f"polynomial must be monic, leading coefficient is {lead}")
         else:
+            if not all(math.isfinite(c) for c in coeffs):
+                raise ValueError("polynomial coefficients must be finite")
             if abs(lead - 1.0) > _FLOAT_MONIC_SLACK:
                 raise ValueError(f"polynomial must be monic, leading coefficient is {lead!r}")
             coeffs = coeffs[:-1] + (1.0,)

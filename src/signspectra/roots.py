@@ -1,21 +1,17 @@
 """Root extraction for monic real polynomials, with exact preprocessing.
 
-The float backend runs simultaneous complex refinement on all roots at once.
-The rational backend first splits the polynomial into squarefree factors with
-exact arithmetic, so multiple roots (including high-order zero and purely
-imaginary roots) are located without the clustering loss that plain iteration
-suffers; degree-1 and degree-2 factors with rational square discriminants are
-solved exactly.
-
-The refinement sweep itself lives in a compiled extension when available and
-in a pure-Python twin otherwise; set SIGNSPECTRA_PURE_PYTHON=1 to force the
-fallback.
+The float backend takes the eigenvalues of the companion matrix, which are
+backward stable (Edelman & Murakami, Math. Comp. 1995); the backward-error
+certificate in find_roots is the only gate on them.  The rational backend
+first splits the polynomial into squarefree factors with exact arithmetic, so
+multiple roots (including high-order zero and purely imaginary roots) are
+located without the clustering loss that a float solve suffers; degree-1 and
+degree-2 factors with rational square discriminants are solved exactly.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -24,25 +20,12 @@ import numpy as np
 
 from .poly import Polynomial, Quadratic, char_poly
 
-if os.environ.get("SIGNSPECTRA_PURE_PYTHON") == "1":
-    from ._aberth import aberth_iterate as _aberth_iterate
-
-    KERNEL = "python"
-else:
-    try:
-        from ._aberth_fast import aberth_iterate as _aberth_iterate
-
-        KERNEL = "compiled"
-    except ImportError:
-        from ._aberth import aberth_iterate as _aberth_iterate
-
-        KERNEL = "python"
+# The one root kernel: companion-matrix eigenvalues through numpy.
+KERNEL = "numpy"
 
 # Above this degree the exact squarefree split is skipped: coefficient growth
 # in the rational gcd outweighs its benefit, and simple roots do not need it.
 _SQUAREFREE_DEGREE_CAP = 32
-
-_STEP_TOL_FACTOR = 1e-13
 
 
 class RootFindingError(RuntimeError):
@@ -144,34 +127,12 @@ def _quadratic_roots_float(a: float, b: float) -> list:
     return [complex(-a / 2.0, math.sqrt(-disc) / 2.0), complex(-a / 2.0, -math.sqrt(-disc) / 2.0)]
 
 
-def _aberth_roots(coeffs: list, tol: float, maxiter: int) -> list:
+def _companion_roots(coeffs: list) -> list:
     # coeffs: ascending floats, monic, degree >= 3, nonzero constant term.
-    deg = len(coeffs) - 1
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    init = [
-        radius * complex(math.cos(a), math.sin(a))
-        for a in (2.0 * math.pi * k / deg + math.pi / (2.0 * deg) for k in range(deg))
-    ]
-    step_tol = _STEP_TOL_FACTOR * radius
-    if KERNEL == "compiled":
-        z = np.array(init, dtype=complex)
-        c = np.array(coeffs, dtype=float)
-        _, converged, max_rel = _aberth_iterate(c, z, maxiter, step_tol, tol)
-        roots = [complex(x) for x in z]
-    else:
-        z = list(init)
-        _, converged, max_rel = _aberth_iterate(coeffs, z, maxiter, step_tol, tol)
-        roots = z
-    if not converged:
-        raise RootFindingError(
-            f"root refinement did not converge in {maxiter} sweeps "
-            f"(last backward error {max_rel:.3e})",
-            residual=max_rel,
-        )
-    return roots
+    return [complex(z) for z in np.roots(coeffs[::-1])]
 
 
-def _roots_float_coeffs(coeffs: list, tol: float, maxiter: int) -> list:
+def _roots_float_coeffs(coeffs: list) -> list:
     # Zero roots are factored out exactly first; doubles compare exactly to 0.
     zeros = 0
     while zeros < len(coeffs) - 1 and coeffs[zeros] == 0.0:
@@ -185,7 +146,7 @@ def _roots_float_coeffs(coeffs: list, tol: float, maxiter: int) -> list:
     elif deg == 2:
         roots = _quadratic_roots_float(work[1] / work[2], work[0] / work[2])
     else:
-        roots = _aberth_roots(work, tol, maxiter)
+        roots = _companion_roots(work)
     return [0j] * zeros + roots
 
 
@@ -275,7 +236,7 @@ def _squarefree_factors(p: Polynomial) -> list:
     return out
 
 
-def _roots_of_rational_squarefree(factor: Polynomial, tol: float, maxiter: int) -> list:
+def _roots_of_rational_squarefree(factor: Polynomial) -> list:
     coeffs = list(factor.coeffs)
     roots = []
     if coeffs[0] == 0:
@@ -289,7 +250,7 @@ def _roots_of_rational_squarefree(factor: Polynomial, tol: float, maxiter: int) 
         return roots + [complex(float(-coeffs[0]))]
     if deg == 2:
         return roots + _quadratic_roots_rational(coeffs[1], coeffs[0])
-    return roots + _roots_float_coeffs([float(c) for c in coeffs], tol, maxiter)
+    return roots + _roots_float_coeffs([float(c) for c in coeffs])
 
 
 def _close_under_conjugation(roots: list, tol: float) -> list:
@@ -339,7 +300,7 @@ def backward_error(coeffs: list, z: complex) -> float:
     return 0.0 if emag == 0.0 else abs(acc) / emag
 
 
-def find_roots(p: Polynomial, tol: float = 1e-9, maxiter: int = 500) -> RootMultiset:
+def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     """All complex roots of p with multiplicity, certified by residuals.
 
     Every returned root z satisfies |p(z)| <= tol * sum_k |c_k| |z|^k in
@@ -354,16 +315,16 @@ def find_roots(p: Polynomial, tol: float = 1e-9, maxiter: int = 500) -> RootMult
     if p.backend == "rational" and p.degree <= _SQUAREFREE_DEGREE_CAP:
         roots = []
         for factor, mult in _squarefree_factors(p):
-            froots = _roots_of_rational_squarefree(factor, tol, maxiter)
+            froots = _roots_of_rational_squarefree(factor)
             for r in froots:
                 roots.extend([r] * mult)
     else:
-        roots = _roots_float_coeffs(p.float_coeffs(), tol, maxiter)
+        roots = _roots_float_coeffs(p.float_coeffs())
     roots = _close_under_conjugation(roots, tol)
 
     fc = p.float_coeffs()
     worst = max(backward_error(fc, z) for z in roots)
-    if worst > tol:
+    if not (worst <= tol):  # a NaN backward error fails the certificate too
         raise RootFindingError(
             f"residual certificate failed: worst backward error {worst:.3e} > {tol:.1e}",
             residual=worst,

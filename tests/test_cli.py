@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
+import signspectra
 from signspectra import Polynomial, RefinedInertia, poly_mul, polynomial_from_dict
 from signspectra.cli import main
 
@@ -205,6 +209,15 @@ def test_factor_usage_and_failure_paths():
     assert "error:" in result.stderr
 
 
+def test_factor_rejects_non_finite_coefficients():
+    # Python's json module accepts the Infinity and NaN literals
+    for blob in ('{"coeffs": [1.0, Infinity, 0.0, 0.0, 1.0]}', '{"coeffs": [NaN, 0.0, 1.0]}'):
+        result = run("factor", "-", input=blob)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid polynomial input" in result.stderr
+
+
 # --- pattern ------------------------------------------------------------------
 
 
@@ -248,3 +261,18 @@ def test_inertia_classification_matches_library():
     result = run("inertia", "2", "4", "2", "0")
     data = json.loads(result.output)
     assert RefinedInertia(*data["classified"]) == RefinedInertia(2, 4, 2, 0)
+
+
+def test_module_entry_point_runs_commands():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(signspectra.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = subprocess.run(
+        [sys.executable, "-m", "signspectra.cli", "pattern", "U3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["n"] == 32

@@ -1,8 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from conftest import poly_from_real_roots, poly_from_root_spec
@@ -18,11 +15,11 @@ from signspectra import (
     coefficient_residual,
     find_roots,
     poly_mul,
+    random_monic_polynomial,
     realize_even_sextic,
     refined_inertia_of,
     roots_to_quadratics,
 )
-from signspectra._aberth import aberth_iterate as aberth_pure
 
 F_FACTORS = (
     Polynomial((1, 1, 1)),
@@ -76,6 +73,11 @@ def test_find_roots_float_backend_degree8():
     rm = find_roots(f_degree8().to_float(), tol=1e-9)
     assert_root_sets_match(rm.roots, closed_form_roots_of_f())
 
+    rm = find_roots(Polynomial((2.0, -1.0, -2.0, 1.0)), tol=1e-9)  # (t-1)(t+1)(t-2)
+    got = sorted(z.real for z in rm.roots)
+    for a, b in zip(got, [-1.0, 1.0, 2.0]):
+        assert a == pytest.approx(b, abs=1e-9)
+
 
 def test_find_roots_multiplicities():
     rm = find_roots(Polynomial((0, 0, 0, 0, 0, 0, 1)))  # t**6
@@ -123,6 +125,41 @@ def test_certificate_bounds_returned_roots():
         rm = find_roots(p, tol=1e-9)
         fc = p.float_coeffs()
         assert max(backward_error(fc, z) for z in rm.roots) <= 1e-9
+    for degree in (128, 256):
+        p = random_monic_polynomial(degree, rng)
+        rm = find_roots(p, tol=1e-9)
+        assert rm.n == degree
+        fc = p.float_coeffs()
+        assert max(backward_error(fc, z) for z in rm.roots) <= 1e-9
+
+
+def test_wilkinson_degree20_certified_with_real_roots():
+    # coefficients reach 20! ~ 2.4e18; both backends must still certify
+    p = Polynomial((1,))
+    for k in range(1, 21):
+        p = poly_mul(p, Polynomial((-k, 1)))
+    for q in (p, p.to_float()):
+        rm = find_roots(q, tol=1e-9)
+        assert rm.n == 20
+        assert all(z.imag == 0.0 for z in rm.roots)
+        fc = q.float_coeffs()
+        assert max(backward_error(fc, z) for z in rm.roots) <= 1e-9
+
+
+def test_non_finite_coefficients_rejected():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial((bad, 0.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial((1.0, bad, 0.0, 0.0, 1.0))
+
+
+def test_overflowing_evaluation_fails_certificate():
+    # finite coefficients near the double maximum overflow the backward-error
+    # evaluation to NaN, which must fail the certificate rather than pass it
+    p = Polynomial((1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.0))
+    with pytest.raises(RootFindingError, match="certificate"):
+        find_roots(p, tol=1e-9)
 
 
 def sample_separated_reals(rng, count, lo, hi, gap):
@@ -265,48 +302,10 @@ def test_roots_to_quadratics_reconstructs_input():
     assert coefficient_residual(prod, p) <= 10 * 1e-9 * p.degree
 
 
-def test_kernel_dispatch_reports_a_kernel():
+def test_kernel_reports_numpy():
     from signspectra import KERNEL
 
-    assert KERNEL in ("compiled", "python")
-
-
-def test_pure_kernel_matches_active_kernel():
-    coeffs = f_degree8().float_coeffs()
-    deg = len(coeffs) - 1
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    init = [
-        radius * complex(math.cos(a), math.sin(a))
-        for a in (2 * math.pi * k / deg + math.pi / (2 * deg) for k in range(deg))
-    ]
-    z_pure = list(init)
-    sweeps, converged, rel = aberth_pure(coeffs, z_pure, 500, 1e-13 * radius, 1e-9)
-    assert converged
-    assert rel <= 1e-9
-    assert_root_sets_match(z_pure, closed_form_roots_of_f(), tol=1e-8)
-
-    rm = find_roots(f_degree8().to_float(), tol=1e-9)
-    assert_root_sets_match(rm.roots, z_pure, tol=1e-8)
-
-
-def test_pure_python_fallback_selected_by_env():
-    code = (
-        "import signspectra as ss\n"
-        "from signspectra import Polynomial, find_roots\n"
-        "p = Polynomial((2.0, -1.0, -2.0, 1.0))\n"
-        "rm = find_roots(p, tol=1e-9)\n"
-        "print(ss.KERNEL)\n"
-        "print(' '.join(f'{z.real:.12f}' for z in rm.roots))\n"
-    )
-    env = dict(os.environ, SIGNSPECTRA_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == "python"
-    got = sorted(float(x) for x in lines[1].split())
-    for a, b in zip(got, [-1.0, 1.0, 2.0]):  # (t-1)(t+1)(t-2)
-        assert a == pytest.approx(b, abs=1e-9)
+    assert KERNEL == "numpy"
 
 
 def test_unattainable_tolerance_reports_residual():
