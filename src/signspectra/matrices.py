@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .patterns import Sign, SignPattern, block_diag_patterns
+from .patterns import Sign, SignPattern, direct_sum
 
 
 def _as_fraction(value) -> Fraction:
@@ -57,6 +57,10 @@ class RationalMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
         return cls(tuple(tuple(row) for row in rows))
+
+    def lift(self) -> "RationalMatrix":
+        """Already exact; returned unchanged, like Polynomial.lift()."""
+        return self
 
     def to_float(self) -> "FloatMatrix":
         """Round each entry to the nearest double."""
@@ -119,6 +123,22 @@ class FloatMatrix:
         return f"FloatMatrix({self.entries!r})"
 
 
+def parse_rational(value) -> Fraction:
+    """Exact value of one JSON entry on the rational backend.
+
+    Strings like "3" or "-2/7" and integer-valued numbers are accepted;
+    anything else, and a zero denominator, raise ValueError.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (str, int)):
+        raise ValueError("rational entries must be strings or integers")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def matrix_from_dict(data: dict):
     """Parse a matrix mapping; string entries select the rational backend.
 
@@ -128,24 +148,8 @@ def matrix_from_dict(data: dict):
     exactly and non-integer numbers are rejected as ambiguous.
     """
     entries = data["entries"]
-    has_string = any(isinstance(e, str) for row in entries for e in row)
-    if has_string:
-        rows = []
-        for row in entries:
-            out = []
-            for e in row:
-                if isinstance(e, str):
-                    out.append(Fraction(e))
-                elif isinstance(e, int):
-                    out.append(Fraction(e))
-                elif isinstance(e, float) and e.is_integer():
-                    out.append(Fraction(int(e)))
-                else:
-                    raise ValueError(
-                        "rational matrix entries must be strings or integers"
-                    )
-            rows.append(out)
-        matrix = RationalMatrix.from_rows(rows)
+    if any(isinstance(e, str) for row in entries for e in row):
+        matrix = RationalMatrix.from_rows([[parse_rational(e) for e in row] for row in entries])
     else:
         matrix = FloatMatrix.from_rows(entries)
     if "n" in data and data["n"] != matrix.n:
@@ -168,6 +172,9 @@ def conforms(matrix, pattern: SignPattern) -> bool:
     return True
 
 
+_ZEROS = {SignPattern: Sign.ZERO, RationalMatrix: Fraction(0), FloatMatrix: 0.0}
+
+
 def block_diag(blocks: Iterable):
     """Direct sum of matrices, or of sign patterns, with zero off-diagonal blocks.
 
@@ -180,22 +187,31 @@ def block_diag(blocks: Iterable):
     first = type(blocks[0])
     if any(type(b) is not first for b in blocks):
         raise TypeError("all blocks must have the same type")
-    if first is SignPattern:
-        return block_diag_patterns(blocks)
-    if first is RationalMatrix:
-        zero = Fraction(0)
-        cls = RationalMatrix
-    elif first is FloatMatrix:
-        zero = 0.0
-        cls = FloatMatrix
-    else:
+    if first not in _ZEROS:
         raise TypeError(f"cannot build a block diagonal of {first.__name__}")
-    n = sum(b.n for b in blocks)
-    rows = [[zero] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                rows[offset + i][offset + j] = b[i, j]
-        offset += b.n
-    return cls.from_rows(rows)
+    return direct_sum(blocks, _ZEROS[first])
+
+
+def block_orders(matrix) -> tuple:
+    """Orders of the finest split of a matrix into contiguous diagonal blocks.
+
+    There is a cut after index k exactly when every entry with one index at
+    most k and the other above k is zero, in both triangles; a single nonzero
+    entry in either off-diagonal block removes the cut.  Row and column k are
+    read from the far end down to the furthest index any earlier row or
+    column reaches, so the scan reads O(n**2) entries at most.
+    """
+    rows = matrix.entries
+    n = len(rows)
+    orders = []
+    start = reach = 0
+    for k in range(n):
+        reach = max(reach, k)
+        for j in range(n - 1, reach, -1):
+            if rows[k][j] or rows[j][k]:
+                reach = j
+                break
+        if reach == k:
+            orders.append(k + 1 - start)
+            start = k + 1
+    return tuple(orders)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class Sign(Enum):
@@ -89,20 +89,20 @@ class SignPattern:
         return f"SignPattern.from_rows({self.to_rows()!r})"
 
 
-def block_diag_patterns(blocks: Iterable[SignPattern]) -> SignPattern:
-    """Direct sum of sign patterns; off-diagonal blocks are all zero."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("need at least one block")
+def direct_sum(blocks: Sequence, zero):
+    """Direct sum of square blocks of one type, zero filling the off-diagonal blocks.
+
+    Works for sign patterns and both matrix types: anything with ``n``,
+    row-tuple ``entries`` and a constructor that takes rows.
+    """
     n = sum(b.n for b in blocks)
-    rows = [[Sign.ZERO] * n for _ in range(n)]
+    rows = [[zero] * n for _ in range(n)]
     offset = 0
     for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                rows[offset + i][offset + j] = b[i, j]
+        for i, row in enumerate(b.entries):
+            rows[offset + i][offset : offset + b.n] = row
         offset += b.n
-    return SignPattern(tuple(tuple(row) for row in rows))
+    return type(blocks[0])(rows)
 
 
 def is_superpattern(p: SignPattern, q: SignPattern) -> bool:
@@ -134,7 +134,7 @@ def composite_pattern(t: int, d: int) -> SignPattern:
     """Direct sum of t copies of the 6x6 template pattern and d 2x2 blocks, in that order."""
     if t < 0 or d < 0 or t + d == 0:
         raise ValueError("need t >= 0, d >= 0 and at least one block")
-    return block_diag_patterns([_T] * t + [_D] * d)
+    return direct_sum([_T] * t + [_D] * d, Sign.ZERO)
 
 
 def builtin_pattern(name: str, t: int | None = None, d: int | None = None) -> SignPattern:
@@ -158,16 +158,16 @@ def builtin_pattern(name: str, t: int | None = None, d: int | None = None) -> Si
 
 
 def _build_builtins() -> dict:
-    td = block_diag_patterns([_T, _D])
-    u2 = block_diag_patterns([td, td])
-    u3 = block_diag_patterns([u2, u2])
+    td = direct_sum([_T, _D], Sign.ZERO)
+    u2 = direct_sum([td, td], Sign.ZERO)
+    u3 = direct_sum([u2, u2], Sign.ZERO)
     return {
         "T": _T,
         "Tprime": _TPRIME,
         "D": _D,
         "X_template": _T,
-        "S": block_diag_patterns([_T] + [_D] * 5),
-        "Sprime": block_diag_patterns([_TPRIME] + [_D] * 5),
+        "S": direct_sum([_T] + [_D] * 5, Sign.ZERO),
+        "Sprime": direct_sum([_TPRIME] + [_D] * 5, Sign.ZERO),
         "TD": td,
         "U1": td,
         "U2": u2,

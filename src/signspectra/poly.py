@@ -1,9 +1,12 @@
 """Monic dense polynomials over Fraction or float, and characteristic polynomials.
 
 Characteristic polynomials follow the det(tI - M) convention, so they are
-always monic.  On the rational backend the trace recursion runs over scaled
-integers, which keeps every division exact and avoids Fraction normalization
-in the inner loop.
+always monic.  Every matrix, rational or float, takes one exact path: the
+entries are scaled by their common denominator to Python ints (a double is a
+dyadic rational, so a float matrix lifts exactly), the matrix is split at its
+block-diagonal cuts, an integer trace recursion runs on each block, the block
+polynomials are multiplied by the same convolution as poly_mul, and the scale
+is divided out once at the end.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .matrices import FloatMatrix, RationalMatrix
+from .matrices import FloatMatrix, RationalMatrix, block_orders, parse_rational
 
 _FLOAT_MONIC_SLACK = 1e-12
 
@@ -102,32 +103,26 @@ def polynomial_from_dict(data: dict) -> Polynomial:
     """Parse {"coeffs": [...]}; any string coefficient selects the rational backend."""
     raw = data["coeffs"]
     if any(isinstance(c, str) for c in raw):
-        coeffs = []
-        for c in raw:
-            if isinstance(c, str):
-                coeffs.append(Fraction(c))
-            elif isinstance(c, int):
-                coeffs.append(Fraction(c))
-            elif isinstance(c, float) and c.is_integer():
-                coeffs.append(Fraction(int(c)))
-            else:
-                raise ValueError("rational coefficients must be strings or integers")
-        return Polynomial(tuple(coeffs))
+        return Polynomial(tuple(parse_rational(c) for c in raw))
     return Polynomial(tuple(float(c) for c in raw))
+
+
+def _convolve(a: Sequence, b: Sequence) -> list:
+    # schoolbook product of ascending coefficient sequences
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """Product of monic polynomials on a common backend."""
     if p.backend != q.backend:
         raise ValueError(f"backend mismatch: {p.backend} * {q.backend}")
-    zero = Fraction(0) if p.backend == "rational" else 0.0
-    out = [zero] * (p.degree + q.degree + 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(tuple(out))
+    return Polynomial(tuple(_convolve(p.coeffs, q.coeffs)))
 
 
 def _charpoly_int(a: list, n: int) -> list:
@@ -160,40 +155,30 @@ def _charpoly_int(a: list, n: int) -> list:
     return c
 
 
-def _charpoly_rational(matrix: RationalMatrix) -> Polynomial:
-    n = matrix.n
-    scale = 1
-    for row in matrix.entries:
-        for e in row:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-    a = [[int(e * scale) for e in row] for row in matrix.entries]
-    c = _charpoly_int(a, n)
-    # char poly of scale*M has coefficients c[k]; undo via c[k] / scale**(n-k)
-    coeffs = tuple(Fraction(c[k], scale ** (n - k)) for k in range(n + 1))
-    return Polynomial(coeffs)
-
-
-def _charpoly_float(matrix: FloatMatrix) -> Polynomial:
-    a = matrix.to_numpy()
-    n = a.shape[0]
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    m = a.copy()
-    c[n - 1] = -np.trace(m)
-    eye = np.eye(n)
-    for k in range(2, n + 1):
-        m = a @ (m + c[n - k + 1] * eye)
-        c[n - k] = -np.trace(m) / k
-    return Polynomial(tuple(float(x) for x in c))
-
-
 def char_poly(matrix) -> Polynomial:
-    """Characteristic polynomial det(tI - M), monic, on the matrix's backend."""
-    if isinstance(matrix, RationalMatrix):
-        return _charpoly_rational(matrix)
+    """Characteristic polynomial det(tI - M), monic, on the matrix's backend.
+
+    Computed exactly for either backend (see the module docstring); the
+    coefficients of a FloatMatrix are the correctly rounded doubles of the
+    exact characteristic polynomial of its entries.
+    """
+    if not isinstance(matrix, (RationalMatrix, FloatMatrix)):
+        raise TypeError(f"expected a matrix, got {type(matrix).__name__}")
+    n = matrix.n
+    ratios = [[e.as_integer_ratio() for e in row] for row in matrix.entries]
+    scale = math.lcm(*{den for row in ratios for _, den in row})
+    a = [[num * (scale // den) for num, den in row] for row in ratios]
+    # char poly of scale*M is the product of its diagonal blocks' char polys
+    c = [1]
+    start = 0
+    for order in block_orders(matrix):
+        stop = start + order
+        c = _convolve(c, _charpoly_int([row[start:stop] for row in a[start:stop]], order))
+        start = stop
+    # coefficient k of det(tI - M) is c[k] / scale**(n-k)
     if isinstance(matrix, FloatMatrix):
-        return _charpoly_float(matrix)
-    raise TypeError(f"expected a matrix, got {type(matrix).__name__}")
+        return Polynomial(tuple(c[k] / scale ** (n - k) for k in range(n + 1)))
+    return Polynomial(tuple(Fraction(c[k], scale ** (n - k)) for k in range(n + 1)))
 
 
 def coefficient_residual(p: Polynomial, target: Polynomial) -> float:

@@ -283,17 +283,6 @@ class RealizationReport:
         }
 
 
-def _exact_block_charpoly(blocks) -> Polynomial:
-    # char poly of a block-diagonal matrix is the product over blocks; floats
-    # lift exactly, so the product is computed without rounding
-    prod = None
-    for m in blocks:
-        rm = m if isinstance(m, RationalMatrix) else m.lift()
-        cp = char_poly(rm)
-        prod = cp if prod is None else poly_mul(prod, cp)
-    return prod
-
-
 def realize_poly(
     f: Polynomial,
     t: int,
@@ -311,9 +300,9 @@ def realize_poly(
     2x2 blocks.  At most one quadratic has a negative constant term and it
     always lands in a 2x2 block, which keeps the triple selection fed.
 
-    The residual is computed exactly: output blocks are lifted to rationals,
-    their characteristic polynomials multiplied, and the result compared to
-    the lifted target, so float cancellation cannot hide a miss.  arrangement
+    The residual is computed exactly: the output matrix is lifted to
+    rationals, its characteristic polynomial taken, and the result compared
+    to the lifted target, so float cancellation cannot hide a miss.  arrangement
     is "grouped" (template blocks first) or "alternating" (template and 2x2
     blocks interleaved; needs t == d), which changes the conforming pattern
     but not the spectrum.
@@ -366,7 +355,7 @@ def realize_poly(
     if not conforms(matrix, pattern):
         raise ArithmeticError("constructed matrix does not conform; parameter bounds failed")
 
-    residual = coefficient_residual(_exact_block_charpoly(blocks), f)
+    residual = coefficient_residual(char_poly(matrix.lift()), f)
     return RealizationReport(
         matrix=matrix,
         pattern=pattern,

@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .matrices import RationalMatrix, block_diag, conforms
+from .matrices import RationalMatrix, block_diag, block_orders, conforms
 from .patterns import Sign, SignPattern, builtin_pattern, is_superpattern
 from .poly import Polynomial, char_poly, coefficient_residual, divisors_degree6, poly_mul
-from .realize import _exact_block_charpoly, realize_even_sextic, realize_inertia, realize_poly
+from .realize import realize_even_sextic, realize_inertia, realize_poly
 from .roots import RefinedInertia, refined_inertia_of
 
 
@@ -195,44 +196,24 @@ def check_divisor_obstruction() -> DivisorObstructionReport:
     )
 
 
-def _extract_blocks(matrix, orders):
-    # returns None when any entry outside the declared blocks is nonzero
-    if sum(orders) != matrix.n:
-        return None
-    blocks = []
-    offset = 0
-    spans = []
-    for size in orders:
-        spans.append((offset, offset + size))
-        offset += size
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            inside = any(a <= i < b and a <= j < b for a, b in spans)
-            if not inside and matrix[i, j] != 0:
-                return None
-    cls = type(matrix)
-    for a, b in spans:
-        blocks.append(cls.from_rows([[matrix[i, j] for j in range(a, b)] for i in range(a, b)]))
-    return blocks
-
-
 def verify_realization(report, tol: float) -> bool:
     """Recompute a realization report's claims independently.
 
-    Checks conformance, that everything outside the declared diagonal blocks
-    is exactly zero, and that the exact blockwise characteristic polynomial
-    matches the target within tol (0 demands exactness).
+    Checks conformance, that every declared block boundary is a cut of the
+    matrix (everything outside the declared diagonal blocks is exactly zero),
+    and that the exact characteristic polynomial of the lifted matrix matches
+    the target within tol (0 demands exactness).
     """
-    if report.matrix.n != report.pattern.n:
+    matrix, orders = report.matrix, report.block_orders
+    if matrix.n != report.pattern.n or report.target.degree != matrix.n:
         return False
-    if not conforms(report.matrix, report.pattern):
+    if not conforms(matrix, report.pattern):
         return False
-    blocks = _extract_blocks(report.matrix, report.block_orders)
-    if blocks is None:
+    if not all(k > 0 for k in orders) or sum(orders) != matrix.n:
         return False
-    if report.target.degree != report.matrix.n:
+    if not set(accumulate(block_orders(matrix))).issuperset(accumulate(orders)):
         return False
-    residual = coefficient_residual(_exact_block_charpoly(blocks), report.target)
+    residual = coefficient_residual(char_poly(matrix.lift()), report.target)
     return residual <= tol
 
 

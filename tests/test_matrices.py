@@ -1,16 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from signspectra import (
     FloatMatrix,
+    Polynomial,
     RationalMatrix,
     SignPattern,
     block_diag,
     builtin_pattern,
     conforms,
     matrix_from_dict,
+    poly_mul,
+    realize_poly,
 )
+from signspectra.matrices import block_orders
 
 
 def test_rational_matrix_entry_coercion():
@@ -68,6 +73,8 @@ def test_matrix_from_dict_errors():
         matrix_from_dict({"entries": [["1/2", 0.25], [1, 1]]})
     with pytest.raises(ValueError, match="does not match"):
         matrix_from_dict({"n": 3, "entries": [[1.0]]})
+    with pytest.raises(ValueError, match="zero denominator"):
+        matrix_from_dict({"entries": [["1/0"]]})
 
 
 def test_matrix_dict_round_trip():
@@ -112,3 +119,23 @@ def test_block_diag_type_rules():
         block_diag([a, f])
     with pytest.raises(ValueError, match="at least one"):
         block_diag([])
+
+
+def test_block_orders_finest_split():
+    assert block_orders(RationalMatrix.from_rows([[1]])) == (1,)
+    assert block_orders(FloatMatrix.from_rows([[0.0, 0.0], [0.0, 0.0]])) == (1, 1)
+    assert block_orders(RationalMatrix.from_rows([[1, 0, 1], [0, 2, 0], [0, 0, 3]])) == (3,)
+
+    f = Polynomial((1,))
+    rng = random.Random(64)
+    for _ in range(32):
+        f = poly_mul(f, Polynomial((rng.randint(1, 9), rng.randint(-9, 9), 1)))
+    report = realize_poly(f.to_float(), 8, 8, arrangement="alternating")
+    assert block_orders(report.matrix) == report.block_orders
+    # one entry in either off-diagonal block of the cut after index 7 merges
+    # the second and third blocks
+    merged = report.block_orders[:1] + (8,) + report.block_orders[3:]
+    for i, j in ((6, 9), (9, 6)):
+        rows = [list(row) for row in report.matrix.entries]
+        rows[i][j] = 1.0
+        assert block_orders(FloatMatrix.from_rows(rows)) == merged

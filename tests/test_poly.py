@@ -75,6 +75,8 @@ def test_polynomial_from_dict():
     assert r2.coeffs[1] == 3
     with pytest.raises(ValueError, match="strings or integers"):
         polynomial_from_dict({"coeffs": ["1/2", 0.25, "1"]})
+    with pytest.raises(ValueError, match="zero denominator"):
+        polynomial_from_dict({"coeffs": ["1/0", "1", "0", "1"]})
     for p in (f, r):
         assert polynomial_from_dict(p.to_dict()) == p
 
@@ -119,16 +121,34 @@ def test_char_poly_matches_cofactor_oracle():
             ]
         )
         assert char_poly(m) == charpoly_by_cofactors(m)
+    # split inputs: a zeroed off-diagonal block pair is a real cut; a single
+    # nonzero in one off-diagonal block is not, in either triangle
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        k = rng.randint(1, n - 1)
+        rows = [
+            [
+                Fraction(rng.randint(-10, 10)) / rng.randint(1, 5) if (i < k) == (j < k) else 0
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        m = RationalMatrix.from_rows(rows)
+        assert char_poly(m) == charpoly_by_cofactors(m)
+        i, j = rng.randrange(k), rng.randrange(k, n)
+        if rng.random() < 0.5:
+            i, j = j, i
+        rows[i][j] = Fraction(rng.choice([-3, -1, 2, 7]), rng.randint(1, 5))
+        m = RationalMatrix.from_rows(rows)
+        assert char_poly(m) == charpoly_by_cofactors(m)
 
 
 def test_char_poly_float_agrees_with_rational():
     rng = random.Random(7)
     rows = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(5)]
     f = FloatMatrix.from_rows(rows)
-    exact = char_poly(f.lift()).to_float()
-    approx = char_poly(f)
-    for a, b in zip(approx.coeffs, exact.coeffs):
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    # correctly rounded: the doubles nearest the exact coefficients
+    assert char_poly(f) == char_poly(f.lift()).to_float()
 
 
 def test_coefficient_residual():

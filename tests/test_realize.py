@@ -29,6 +29,7 @@ from signspectra import (
     refined_inertia_of,
     select_triple,
     template_matrix,
+    verify_realization,
 )
 
 T = builtin_pattern("T")
@@ -314,6 +315,24 @@ def test_realize_poly_alternating_arrangement():
     assert report.pattern == block_diag([builtin_pattern("TD")] * 5)
     assert report.residual <= 1e-5
     assert conforms(report.matrix, report.pattern)
+
+
+def test_realize_poly_clustered_float_roots():
+    # multiple roots on the float backend: the exact residual stays within
+    # the suite's bound 10 * tol * degree, and the report verifies
+    tol = 1e-9
+    cases = (
+        (Polynomial((-1.0, 1.0)), 16, 1, 5),
+        (Polynomial((-3.0, 1.0)), 16, 1, 5),
+        (Polynomial((-1.0, 1.0)), 64, 8, 8),
+        (Polynomial((1.0, 0.0, 1.0)), 8, 1, 5),
+    )
+    for base, power, t, d in cases:
+        f = product([base] * power)
+        report = realize_poly(f, t, d, tol=tol)
+        bound = 10 * tol * f.degree
+        assert report.residual <= bound
+        assert verify_realization(report, bound)
 
 
 def test_realize_poly_validation():

@@ -221,27 +221,28 @@ def test_verify_realization_rejects_tampering():
 
 
 def test_verify_realization_rejects_offblock_entries():
-    # an entry outside the declared blocks fails even when the pattern allows it
-    m = RationalMatrix.from_rows(
-        [[3, 1, 0, 1], [-10, -3, 0, 0], [0, 0, 3, 1], [0, 0, -10, -3]]
-    )
-    d = builtin_pattern("D")
-    pattern_rows = [list(row) for row in block_diag([d, d]).entries]
-    pattern_rows[0][3] = Sign.PLUS
+    # an entry outside the declared blocks fails even when the pattern allows
+    # it, in the upper-right and in the lower-left off-diagonal block
     from signspectra import SignPattern
 
-    report = RealizationReport(
-        matrix=m,
-        pattern=SignPattern(tuple(tuple(r) for r in pattern_rows)),
-        target=poly_mul(Polynomial((1, 0, 1)), Polynomial((1, 0, 1))),
-        residual=0.0,
-        perturbation=0.0,
-        block_orders=(2, 2),
-        block_tags=("D", "D"),
-        backend="rational",
-    )
-    assert conforms(report.matrix, report.pattern)
-    assert not verify_realization(report, tol=1.0)
+    d = builtin_pattern("D")
+    for i, j in ((0, 3), (3, 0)):
+        rows = [[3, 1, 0, 0], [-10, -3, 0, 0], [0, 0, 3, 1], [0, 0, -10, -3]]
+        rows[i][j] = 1
+        pattern_rows = [list(row) for row in block_diag([d, d]).entries]
+        pattern_rows[i][j] = Sign.PLUS
+        report = RealizationReport(
+            matrix=RationalMatrix.from_rows(rows),
+            pattern=SignPattern(tuple(tuple(r) for r in pattern_rows)),
+            target=poly_mul(Polynomial((1, 0, 1)), Polynomial((1, 0, 1))),
+            residual=0.0,
+            perturbation=0.0,
+            block_orders=(2, 2),
+            block_tags=("D", "D"),
+            backend="rational",
+        )
+        assert conforms(report.matrix, report.pattern)
+        assert not verify_realization(report, tol=1.0)
 
 
 def test_verify_realization_float_report():
