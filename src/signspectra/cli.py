@@ -2,7 +2,8 @@
 factoring, and pattern lookup as subcommands with JSON input and output.
 
 Exit codes: 0 success, 1 verification or root-finding failure, 2 usage or
-precondition error.
+precondition error.  A root-finding failure in any command prints one
+"error: ..." line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import click
 
 from .patterns import BUILTIN_NAMES, builtin_pattern
 from .poly import polynomial_from_dict
-from .realize import realize_inertia, realize_poly, select_triple
+from .realize import realize_inertia, realize_poly, select_triple, zero_class_tol
 from .roots import RootFindingError, find_roots, refined_inertia_of, roots_to_quadratics
 from .verify import SuiteConfig, check_divisor_obstruction, check_identity, run_theorem_suite
 
@@ -40,7 +41,18 @@ def _check_tol(tol: float) -> None:
         raise click.UsageError("tolerance must be positive")
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that turns a RootFindingError from any command into exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RootFindingError as e:
+            click.echo(f"error: {e}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Constructive spectra for sign patterns.
 
@@ -74,9 +86,6 @@ def realize(poly, t, d, tol, backend, out):
         rep = realize_poly(f, t, d, tol=tol, backend=backend)
     except ValueError as e:
         raise click.UsageError(str(e))
-    except RootFindingError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
     _emit(rep.to_dict(), out)
 
 
@@ -92,7 +101,8 @@ def inertia(n_plus, n_minus, n_zero, n_imag, tol, out):
 
     The four arguments count eigenvalues with positive real part, negative
     real part, zero, and purely imaginary conjugate pairs; they must satisfy
-    N_PLUS + N_MINUS + N_ZERO + 2*N_IMAG = 8.
+    N_PLUS + N_MINUS + N_ZERO + 2*N_IMAG = 8.  Exits 1 when the refined
+    inertia classified at --tol differs from the request.
     """
     _check_tol(tol)
     nu = (n_plus, n_minus, n_zero, n_imag)
@@ -111,6 +121,9 @@ def inertia(n_plus, n_minus, n_zero, n_imag, tol, out):
         },
         out,
     )
+    if tuple(classified) != nu:
+        click.echo(f"error: classified inertia {list(classified)} differs from the request", err=True)
+        sys.exit(1)
 
 
 @main.command()
@@ -164,13 +177,12 @@ def factor(poly, tol, out):
         raise click.UsageError(f"degree must be even and at least 2, got {f.degree}")
     try:
         quads = roots_to_quadratics(find_roots(f, tol=tol))
-    except (RootFindingError, ValueError) as e:
+    except ValueError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     data = {"quadratics": [{"a": float(q.a), "b": float(q.b)} for q in quads]}
     if f.degree >= 16:
-        eps_zero = tol * (1.0 + max(max(abs(q.a), abs(q.b)) for q in quads))
-        sel = select_triple(quads, eps_zero)
+        sel = select_triple(quads, zero_class_tol(quads, tol))
         data["triple"] = {
             "label": sel.label,
             "quadratics": [{"a": float(q.a), "b": float(q.b)} for q in sel.triple],

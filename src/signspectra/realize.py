@@ -1,11 +1,11 @@
 """Constructive realizations of target spectra over the built-in sign patterns.
 
 The central object is a parameterized 6x6 template whose sign pattern matches
-the built-in pattern "T" whenever all nine parameters are positive.  Two
-closed-form parameter assignments realize, exactly on the rational backend,
-
-  * any even sextic (t**2+b)(t**2+c)(t**2+d), and
-  * any monic sextic whose coefficients satisfy a5 != 0 and a3/a5 > 0.
+the built-in pattern "T" whenever all nine parameters are positive.  One
+closed-form parameter assignment realizes, exactly on the rational backend,
+every monic sextic that passes the gate of T's exact coefficient identities:
+a3 and a5 vanish together (even sextics (t**2+b)(t**2+c)(t**2+d) among them)
+or have a positive ratio.  No other sextic is realizable over T.
 
 A 2x2 construction realizes any monic quadratic over the pattern "D".  The
 block-diagonal engine splits an arbitrary monic target of degree 6t + 2d
@@ -33,7 +33,7 @@ _MAX_DOUBLINGS = 64
 
 
 class GateError(ValueError):
-    """Degree-6 target outside the template's reachable set (a5 = 0 or a3/a5 <= 0)."""
+    """Degree-6 target that violates the gate: a3 and a5 neither both zero nor of positive ratio."""
 
 
 @dataclass(frozen=True)
@@ -95,95 +95,83 @@ def _sqrt_upper(q):
     return Fraction(rn + 1, rd)
 
 
-def _even_sextic_params(b, c, d, x1, x8_override):
-    e1 = b + c + d
-    e2 = b * c + b * d + c * d
-    e3 = b * c * d
-    one = x1 - x1 + 1  # 1 in the scalar type of x1
-    x3 = one
-    x2 = x1
-    x4 = e1 + x1 * x1 - x3
-    k5 = e2 - e1 * x3 + x3 * x3
+def violates_sextic_gate(p: Polynomial) -> bool:
+    """True when a monic degree-6 polynomial cannot be realized over pattern T.
+
+    The exact identities of T force a3 and a5 to vanish together or to have a
+    strictly positive ratio; anything else is unrealizable, and realize_sextic
+    realizes every sextic that meets the condition.
+    """
+    if p.degree != 6:
+        raise ValueError(f"expected degree 6, got {p.degree}")
+    a3, a5 = p.coeffs[3], p.coeffs[5]
+    return a3 != 0 if a5 == 0 else a3 / a5 <= 0
+
+
+def _sextic_params(a, x3, x1, x8_override):
+    a0, a1, a2, a3, a4, a5 = a[0], a[1], a[2], a[3], a[4], a[5]
+    one = x1 - x1 + 1
+    x2 = a5 + x1
+    x4 = x1 * x1 + a5 * x1 + (a4 - x3)
+    k5 = x3 * x3 - a4 * x3 + a2
     x9 = one + max(k5 - k5, -k5)
     x5 = k5 + x9
     if x8_override is None:
-        x8 = max(one, (one + e3 - x9 * (x3 - e1)) / x1)
+        x8 = max(one, one - (a1 + x1 * x5 + a5 * x9), (one + a0 - x9 * (x3 - a4)) / x1)
     else:
         x8 = x8_override
-    x7 = -e3 + x1 * x8 + x9 * (x3 - e1)
-    x6 = x1 * x5 + x8
+    x6 = a1 + x1 * x5 + x8 + a5 * x9
+    x7 = -a0 + x1 * x8 + x9 * (x3 - a4)
     return TemplateParams(x1, x2, x3, x4, x5, x6, x7, x8, x9)
+
+
+def realize_sextic(target: Polynomial, x8=None):
+    """Matrix over pattern T matching a monic degree-6 target that passes the gate.
+
+    Exact on the rational backend.  The free parameter x3 is a3/a5, or 1 when
+    a3 = a5 = 0.  Raises GateError exactly when violates_sextic_gate holds;
+    such sextics admit no realization over T, so the gate is a hard boundary
+    rather than a numerical limitation.  The optional x8 replaces that free
+    parameter's computed bound; positivity is re-verified either way.
+    """
+    if violates_sextic_gate(target):
+        raise GateError(
+            "degree-6 target needs a3 = a5 = 0 or a3/a5 > 0; "
+            f"got a3 = {target.coeffs[3]}, a5 = {target.coeffs[5]}"
+        )
+    a = target.coeffs
+    backend = target.backend
+    one = _coerce(1, backend)
+    x3 = one if a[5] == 0 else a[3] / a[5]
+    x1 = one + abs(a[5]) + _sqrt_upper(max(one - one, x3 - a[4]))
+    x8_override = None if x8 is None else _coerce(x8, backend)
+    for _ in range(_MAX_DOUBLINGS):
+        params = _sextic_params(a, x3, x1, x8_override)
+        if params.all_positive():
+            return params, template_matrix(params)
+        x1 = x1 * 2
+    hint = "" if x8 is None else "; the supplied x8 may be below its bound"
+    raise ValueError(
+        f"no positive parameter assignment found after {_MAX_DOUBLINGS} doublings of x1{hint}"
+    )
+
+
+def _sextic_target(quads, backend: str) -> Polynomial:
+    # product of three monic quadratics t**2 + q.a*t + q.b on the backend
+    p0, p1, p2 = (
+        Quadratic(_coerce(q.a, backend), _coerce(q.b, backend)).to_polynomial() for q in quads
+    )
+    return poly_mul(poly_mul(p0, p1), p2)
 
 
 def realize_even_sextic(b, c, d, backend: str = "rational", x8=None):
     """Matrix over pattern T with characteristic polynomial (t²+b)(t²+c)(t²+d).
 
-    Total for all real b, c, d.  Exact on the rational backend.  The optional
-    x8 raises that free parameter above its computed bound; positivity is
-    re-verified either way.
+    Total for all real b, c, d: the product has a3 = a5 = 0, so it passes the
+    gate and realize_sextic builds it (with x3 = 1).  Exact on the rational
+    backend; x8 is passed on to realize_sextic.
     """
-    b, c, d = (_coerce(v, backend) for v in (b, c, d))
-    one = _coerce(1, backend)
-    e1 = b + c + d
-    x1 = one + _sqrt_upper(max(one - one, one - e1))
-    x8_override = None if x8 is None else _coerce(x8, backend)
-    for _ in range(_MAX_DOUBLINGS):
-        params = _even_sextic_params(b, c, d, x1, x8_override)
-        if params.all_positive():
-            return params, template_matrix(params)
-        x1 = x1 * 2
-    raise ValueError(
-        "no positive parameter assignment found; the supplied x8 may be below its bound"
-    )
-
-
-def _sextic_params(a, x1, x8_override):
-    a0, a1, a2, a3, a4, a5 = a[0], a[1], a[2], a[3], a[4], a[5]
-    one = x1 - x1 + 1
-    ratio = a3 / a5
-    x3 = ratio
-    x2 = a5 + x1
-    x4 = x1 * x1 + a5 * x1 + (a4 - ratio)
-    k5 = ratio * ratio - a4 * ratio + a2
-    x9 = one + max(k5 - k5, -k5)
-    x5 = k5 + x9
-    if x8_override is None:
-        x8 = max(one, one - (a1 + x1 * x5 + a5 * x9), (one + a0 - x9 * (ratio - a4)) / x1)
-    else:
-        x8 = x8_override
-    x6 = a1 + x1 * x5 + x8 + a5 * x9
-    x7 = -a0 + x1 * x8 + x9 * (ratio - a4)
-    return TemplateParams(x1, x2, x3, x4, x5, x6, x7, x8, x9)
-
-
-def realize_sextic(target: Polynomial, x8=None):
-    """Matrix over pattern T matching a monic degree-6 target with a3/a5 > 0.
-
-    Exact on the rational backend.  Raises GateError when the target has
-    a5 = 0 or a3/a5 <= 0; such sextics admit no realization over T, so the
-    gate is a hard boundary rather than a numerical limitation.
-    """
-    if target.degree != 6:
-        raise ValueError(f"target must have degree 6, got {target.degree}")
-    a = target.coeffs
-    a3, a5 = a[3], a[5]
-    if a5 == 0 or a3 / a5 <= 0:
-        raise GateError(
-            f"degree-6 target needs a5 != 0 and a3/a5 > 0; got a3 = {a3}, a5 = {a5}"
-        )
-    backend = target.backend
-    one = _coerce(1, backend)
-    cq = a[4] - a3 / a5
-    x1 = one + abs(a5) + _sqrt_upper(max(one - one, -cq))
-    x8_override = None if x8 is None else _coerce(x8, backend)
-    for _ in range(_MAX_DOUBLINGS):
-        params = _sextic_params(a, x1, x8_override)
-        if params.all_positive():
-            return params, template_matrix(params)
-        x1 = x1 * 2
-    raise ValueError(
-        "no positive parameter assignment found; the supplied x8 may be below its bound"
-    )
+    return realize_sextic(_sextic_target([Quadratic(0, v) for v in (b, c, d)], backend), x8=x8)
 
 
 def realize_quadratic(p1, p0, backend: str = "rational"):
@@ -201,6 +189,11 @@ def realize_quadratic(p1, p0, backend: str = "rational"):
     gamma = p0 + alpha * delta
     cls = RationalMatrix if backend == "rational" else FloatMatrix
     return cls.from_rows([[alpha, beta], [-gamma, -delta]])
+
+
+def zero_class_tol(quads, tol: float) -> float:
+    """The eps_zero realize_poly hands select_triple: tol scaled by the largest coefficient."""
+    return tol * (1.0 + max(max(abs(q.a), abs(q.b)) for q in quads))
 
 
 @dataclass(frozen=True)
@@ -295,8 +288,8 @@ def realize_poly(
 
     Needs d >= 5.  Roots are extracted once and grouped into 3t + d monic
     quadratics; while template blocks remain, a sign-homogeneous triple is
-    multiplied into a degree-6 block target (the zero class going to the even
-    realizer, so the gate always passes), and the remaining quadratics map to
+    multiplied into a degree-6 block target (sign homogeneity makes it pass
+    the gate; the snapped zero class gives a3 = a5 = 0), and the rest map to
     2x2 blocks.  At most one quadratic has a negative constant term and it
     always lands in a 2x2 block, which keeps the triple selection fed.
 
@@ -320,9 +313,8 @@ def realize_poly(
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
 
-    multiset = find_roots(f, tol=tol)
-    quads = roots_to_quadratics(multiset)
-    eps_zero = tol * (1.0 + max(max(abs(q.a), abs(q.b)) for q in quads))
+    quads = roots_to_quadratics(find_roots(f, tol=tol))
+    eps_zero = zero_class_tol(quads, tol)
 
     t_blocks = []
     perturbation = 0.0
@@ -330,17 +322,7 @@ def realize_poly(
         sel = select_triple(quads, eps_zero)
         quads = list(sel.rest)
         perturbation += sel.snapped
-        if sel.label == "zero":
-            _, m6 = realize_even_sextic(
-                sel.triple[0].b, sel.triple[1].b, sel.triple[2].b, backend=backend
-            )
-        else:
-            qs = [
-                Quadratic(_coerce(q.a, backend), _coerce(q.b, backend)).to_polynomial()
-                for q in sel.triple
-            ]
-            block_target = poly_mul(poly_mul(qs[0], qs[1]), qs[2])
-            _, m6 = realize_sextic(block_target)
+        _, m6 = realize_sextic(_sextic_target(sel.triple, backend))
         t_blocks.append(m6)
     d_blocks = [realize_quadratic(q.a, q.b, backend=backend) for q in quads]
 
@@ -457,8 +439,7 @@ def realize_subinertia(nu) -> tuple:
     n = 1
     for _ in range(_MAX_DOUBLINGS):
         target = poly_mul(_cubic(split, n), h)
-        a3, a5 = target.coeffs[3], target.coeffs[5]
-        if a5 != 0 and a3 / a5 > 0:
+        if not violates_sextic_gate(target):
             _, matrix = realize_sextic(target)
             return mu, matrix
         n *= 2

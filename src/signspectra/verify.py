@@ -21,7 +21,7 @@ from itertools import accumulate
 from .matrices import RationalMatrix, block_diag, block_orders, conforms
 from .patterns import Sign, SignPattern, builtin_pattern, is_superpattern
 from .poly import Polynomial, char_poly, coefficient_residual, divisors_degree6, poly_mul
-from .realize import realize_even_sextic, realize_inertia, realize_poly
+from .realize import realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
 from .roots import RefinedInertia, refined_inertia_of
 
 
@@ -116,21 +116,6 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
         all_passed=first_failure is None,
         first_failure=first_failure,
     )
-
-
-def violates_sextic_gate(p: Polynomial) -> bool:
-    """True when a monic degree-6 polynomial cannot be realized over pattern T.
-
-    The necessary condition, from the exact identities, is that a3 and a5
-    vanish together or have a strictly positive ratio; anything else is
-    unrealizable.
-    """
-    if p.degree != 6:
-        raise ValueError(f"expected degree 6, got {p.degree}")
-    a3, a5 = p.coeffs[3], p.coeffs[5]
-    if a3 == 0 and a5 == 0:
-        return False
-    return a5 == 0 or a3 / a5 <= 0
 
 
 @dataclass(frozen=True)

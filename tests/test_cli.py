@@ -122,6 +122,25 @@ def test_inertia_all_axis():
     assert data["classified"] == [0, 0, 0, 4]
 
 
+def test_inertia_echo_mismatch_exits_1():
+    # a huge tolerance classifies every eigenvalue as zero
+    result = run("inertia", "2", "2", "0", "2", "--tol", "10")
+    assert result.exit_code == 1
+    data = json.loads(result.stdout)
+    assert data["requested"] == [2, 2, 0, 2]
+    assert data["classified"] == [0, 0, 8, 0]
+    assert "error:" in result.stderr
+
+
+def test_root_certificate_failure_exits_1_without_traceback():
+    for args in (("inertia", "2", "2", "0", "2"), ("verify", "theorem", "--samples", "5")):
+        result = run(*args, "--tol", "1e-300")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: residual certificate failed" in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+
+
 def test_inertia_usage_errors():
     result = run("inertia", "1", "1", "1", "1")
     assert result.exit_code == 2

@@ -30,6 +30,7 @@ from signspectra import (
     select_triple,
     template_matrix,
     verify_realization,
+    violates_sextic_gate,
 )
 
 T = builtin_pattern("T")
@@ -150,15 +151,61 @@ def test_realize_sextic_negative_a5():
     assert char_poly(m) == target
 
 
+def assert_realizes_sextic(target):
+    params, m = realize_sextic(target)
+    assert params.all_positive()
+    assert conforms(m, T)
+    assert char_poly(m) == target
+    assert charpoly_by_cofactors(m) == target
+
+
 def test_realize_sextic_gate_rejections():
+    assert_realizes_sextic(even_sextic_target(1, 1, 1))  # a3 = a5 = 0: realizable
     with pytest.raises(GateError):
-        realize_sextic(even_sextic_target(1, 1, 1))  # a5 = 0
+        realize_sextic(Polynomial((0, 0, 0, 1, 0, 0, 1)))  # a5 = 0, a3 = 1
     with pytest.raises(GateError):
         realize_sextic(Polynomial((1, 0, 0, -1, 0, 1, 1)))  # a3/a5 = -1
     with pytest.raises(GateError):
         realize_sextic(Polynomial((1, 0, 0, 0, 0, 1, 1)))  # a3 = 0
     with pytest.raises(ValueError, match="degree 6"):
         realize_sextic(Polynomial((1, 0, 0, 0, 0, 1)))
+
+
+def test_realize_sextic_a3_a5_zero_targets():
+    # a3 = a5 = 0 leaves x3 free; odd a1 and a repeated root included
+    for coeffs in ((0, 1, 0, 0, 0, 0, 1), (0,) * 6 + (1,), (1, 0, 1, 0, 3, 0, 1)):
+        assert_realizes_sextic(Polynomial(coeffs))
+
+
+def test_realize_sextic_raises_exactly_on_the_gate():
+    rng = random.Random(4242)
+    rejected = 0
+    for _ in range(300):
+        coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(6)]
+        for k in (3, 5):
+            if rng.random() < 0.4:
+                coeffs[k] = Fraction(0)
+        target = Polynomial(tuple(coeffs) + (Fraction(1),))
+        if violates_sextic_gate(target):
+            rejected += 1
+            with pytest.raises(GateError):
+                realize_sextic(target)
+        else:
+            params, m = realize_sextic(target)
+            assert params.all_positive()
+            assert conforms(m, T)
+            assert char_poly(m) == target
+    assert 0 < rejected < 300
+
+
+def test_doubling_exhaustion_names_x8_only_when_supplied():
+    with pytest.raises(ValueError, match="supplied x8"):
+        realize_even_sextic(1, 2, 3, x8=-1)
+    # float cancellation in x7 at |coefficients| ~ 1e112, with no x8 supplied
+    target = Polynomial((1e300,) + (0.0,) * 15 + (1.0,))
+    with pytest.raises(ValueError, match="no positive parameter assignment") as info:
+        realize_poly(target, 1, 5)
+    assert "x8" not in str(info.value)
 
 
 def test_realize_sextic_random_exact():
