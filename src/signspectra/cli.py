@@ -2,7 +2,8 @@
 factoring, and pattern lookup as subcommands with JSON input and output.
 
 Exit codes: 0 success, 1 verification or root-finding failure, 2 usage or
-precondition error.  A root-finding failure in any command prints one
+precondition error.  A root-finding failure or an ArithmeticError (a
+construction that missed its own bounds) in any command prints one
 "error: ..." line on stderr, never a traceback.
 """
 
@@ -42,12 +43,13 @@ def _check_tol(tol: float) -> None:
 
 
 class _Main(click.Group):
-    """Command group that turns a RootFindingError from any command into exit 1."""
+    """Command group that turns a RootFindingError or ArithmeticError from any
+    command into exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except RootFindingError as e:
+        except (RootFindingError, ArithmeticError) as e:
             click.echo(f"error: {e}", err=True)
             ctx.exit(1)
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .patterns import Sign, SignPattern, direct_sum
 
 
@@ -112,9 +110,6 @@ class FloatMatrix:
         return RationalMatrix(
             tuple(tuple(Fraction(e) for e in row) for row in self.entries)
         )
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "entries": [list(row) for row in self.entries]}

@@ -1,12 +1,15 @@
 """Root extraction for monic real polynomials, with exact preprocessing.
 
-The float backend takes the eigenvalues of the companion matrix, which are
-backward stable (Edelman & Murakami, Math. Comp. 1995); the backward-error
-certificate in find_roots is the only gate on them.  The rational backend
-first splits the polynomial into squarefree factors with exact arithmetic, so
-multiple roots (including high-order zero and purely imaginary roots) are
-located without the clustering loss that a float solve suffers; degree-1 and
-degree-2 factors with rational square discriminants are solved exactly.
+Both backends share one solver: zero roots are stripped exactly, degrees 1
+and 2 are solved in closed form (the quadratic forms its discriminant in the
+coefficients' own arithmetic and takes the cancellation-free second root
+r2 = b / r1), and higher degrees take the eigenvalues of the companion matrix,
+which are backward stable (Edelman & Murakami, Math. Comp. 1995).  The
+backward-error certificate in find_roots is the only gate on the result.  A
+rational polynomial of degree at most _SQUAREFREE_DEGREE_CAP is first split
+into squarefree factors with exact arithmetic and each factor goes through the
+same solver, so multiple roots (including high-order zero and purely imaginary
+roots) are located without the clustering loss that a float solve suffers.
 """
 
 from __future__ import annotations
@@ -88,54 +91,25 @@ class RefinedInertia(NamedTuple):
         return all(a >= b for a, b in zip(self, other))
 
 
-def _exact_sqrt(f: Fraction):
-    # Rational square root when it exists, else None.
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _quadratic_roots_rational(a: Fraction, b: Fraction) -> list:
+def _quadratic_roots(a, b) -> list:
+    # Roots of t^2 + a t + b.  The discriminant is formed in the coefficients'
+    # own arithmetic (exact for Fractions), the rest in double precision; the
+    # second real root comes from r1 * r2 = b, which does not cancel.
     disc = a * a - 4 * b
     if disc >= 0:
-        s = _exact_sqrt(disc)
-        if s is not None:
-            return [complex(float((-a + s) / 2)), complex(float((-a - s) / 2))]
-        sd = math.sqrt(float(disc))
-        fa = float(a)
-        return [complex((-fa + sd) / 2), complex((-fa - sd) / 2)]
-    s = _exact_sqrt(-disc)
-    if s is not None:
-        im = float(s / 2)
-    else:
-        im = math.sqrt(float(-disc)) / 2
-    re = float(-a / 2)
-    return [complex(re, im), complex(re, -im)]
-
-
-def _quadratic_roots_float(a: float, b: float) -> list:
-    disc = a * a - 4.0 * b
-    if disc >= 0.0:
         sq = math.sqrt(disc)
         r1 = (-a - sq) / 2.0 if a >= 0 else (-a + sq) / 2.0
         r2 = b / r1 if r1 != 0.0 else -a
         return [complex(r1), complex(r2)]
-    return [complex(-a / 2.0, math.sqrt(-disc) / 2.0), complex(-a / 2.0, -math.sqrt(-disc) / 2.0)]
+    im = math.sqrt(-disc) / 2.0
+    return [complex(-a / 2.0, im), complex(-a / 2.0, -im)]
 
 
-def _companion_roots(coeffs: list) -> list:
-    # coeffs: ascending floats, monic, degree >= 3, nonzero constant term.
-    return [complex(z) for z in np.roots(coeffs[::-1])]
-
-
-def _roots_float_coeffs(coeffs: list) -> list:
-    # Zero roots are factored out exactly first; doubles compare exactly to 0.
+def _roots_of_coeffs(coeffs: list) -> list:
+    # The one closed form per degree, on float or Fraction coefficients (monic,
+    # ascending).  Zero roots are factored out exactly first.
     zeros = 0
-    while zeros < len(coeffs) - 1 and coeffs[zeros] == 0.0:
+    while zeros < len(coeffs) - 1 and coeffs[zeros] == 0:
         zeros += 1
     work = coeffs[zeros:]
     deg = len(work) - 1
@@ -144,9 +118,9 @@ def _roots_float_coeffs(coeffs: list) -> list:
     elif deg == 1:
         roots = [complex(-work[0] / work[1])]
     elif deg == 2:
-        roots = _quadratic_roots_float(work[1] / work[2], work[0] / work[2])
-    else:
-        roots = _companion_roots(work)
+        roots = _quadratic_roots(work[1] / work[2], work[0] / work[2])
+    else:  # companion-matrix eigenvalues
+        roots = [complex(z) for z in np.roots([float(c) for c in reversed(work)])]
     return [0j] * zeros + roots
 
 
@@ -236,23 +210,6 @@ def _squarefree_factors(p: Polynomial) -> list:
     return out
 
 
-def _roots_of_rational_squarefree(factor: Polynomial) -> list:
-    coeffs = list(factor.coeffs)
-    roots = []
-    if coeffs[0] == 0:
-        # squarefree, so the zero root is simple
-        roots.append(0j)
-        coeffs = coeffs[1:]
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return roots
-    if deg == 1:
-        return roots + [complex(float(-coeffs[0]))]
-    if deg == 2:
-        return roots + _quadratic_roots_rational(coeffs[1], coeffs[0])
-    return roots + _roots_float_coeffs([float(c) for c in coeffs])
-
-
 def _close_under_conjugation(roots: list, tol: float) -> list:
     """Snap near-real roots and replace near-conjugate pairs by exact pairs."""
     reals = []
@@ -313,13 +270,13 @@ def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     if p.degree < 1:
         raise ValueError("cannot extract roots of a constant polynomial")
     if p.backend == "rational" and p.degree <= _SQUAREFREE_DEGREE_CAP:
-        roots = []
-        for factor, mult in _squarefree_factors(p):
-            froots = _roots_of_rational_squarefree(factor)
-            for r in froots:
-                roots.extend([r] * mult)
+        factors = _squarefree_factors(p)
     else:
-        roots = _roots_float_coeffs(p.float_coeffs())
+        factors = [(p, 1)]
+    roots = []
+    for factor, mult in factors:
+        for r in _roots_of_coeffs(list(factor.coeffs)):
+            roots.extend([r] * mult)
     roots = _close_under_conjugation(roots, tol)
 
     fc = p.float_coeffs()
@@ -360,34 +317,13 @@ def roots_to_quadratics(multiset: RootMultiset) -> list:
             conj.append(z)
 
     quads = [Quadratic(-2.0 * z.real, abs(z) ** 2) for z in conj]
-    positives.sort(reverse=True)
-    negatives.sort()
     leftovers = []
-
-    pos_quads = []
-    for i in range(0, len(positives) - 1, 2):
-        r, s = positives[i], positives[i + 1]
-        pos_quads.append(Quadratic(-(r + s), r * s))
-    if len(positives) % 2:
-        leftovers.append(positives[-1])
-
-    neg_quads = []
-    for i in range(0, len(negatives) - 1, 2):
-        r, s = negatives[i], negatives[i + 1]
-        neg_quads.append(Quadratic(-(r + s), r * s))
-    if len(negatives) % 2:
-        leftovers.append(negatives[-1])
-
-    zero_quads = []
-    pair_end = len(zeros) - (len(zeros) % 2)
-    for i in range(0, pair_end, 2):
-        zero_quads.append(Quadratic(-(zeros[i] + zeros[i + 1]), zeros[i] * zeros[i + 1]))
-    if len(zeros) % 2:
-        leftovers.append(zeros[-1])
-
-    quads.extend(pos_quads)
-    quads.extend(neg_quads)
-    quads.extend(zero_quads)
+    for reals in (sorted(positives, reverse=True), sorted(negatives), zeros):
+        for i in range(0, len(reals) - 1, 2):
+            r, s = reals[i], reals[i + 1]
+            quads.append(Quadratic(-(r + s), r * s))
+        if len(reals) % 2:
+            leftovers.append(reals[-1])
     if leftovers:
         if len(leftovers) != 2:
             raise ValueError("real roots cannot be paired: odd counts in every sign class")

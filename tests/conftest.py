@@ -7,7 +7,18 @@ recursion under test.
 
 from fractions import Fraction
 
+from hypothesis import HealthCheck, settings
+
 from signspectra import Polynomial, poly_mul
+
+# Property tests are derandomized, so every run draws the same examples.
+PROPERTY_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=list(HealthCheck),
+)
 
 
 def _pl_add(a, b):

@@ -12,8 +12,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import poly_from_root_spec
-from hypothesis import HealthCheck, assume, given, settings
+from conftest import PROPERTY_SETTINGS, poly_from_root_spec
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from signspectra import (
@@ -39,14 +39,6 @@ from signspectra import (
     realize_sextic,
     refined_inertia_of,
     roots_to_quadratics,
-)
-
-PROPERTY_SETTINGS = settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=list(HealthCheck),
 )
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 import signspectra
@@ -226,6 +227,41 @@ def test_factor_usage_and_failure_paths():
     )
     assert result.exit_code == 1
     assert "error:" in result.stderr
+
+
+def test_factor_rational_quadratic_with_cancelling_roots():
+    # t^2 + 1e8 t + 1: the small root -1e-8 needs the cancellation-free formula
+    result = run("factor", "-", input=json.dumps({"coeffs": ["1", "100000000", "1"]}))
+    assert result.exit_code == 0
+    (quad,) = json.loads(result.output)["quadratics"]
+    assert quad["a"] == pytest.approx(1e8, rel=1e-12)
+    assert quad["b"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_arithmetic_error_exits_1_without_traceback():
+    # (t^2 - 1e17 t + 1)(t^2 + 1)^4: the float 2x2 block for the first factor
+    # loses the +2 in alpha = |p1| + |p0| + 2 and fails conformance, while the
+    # rational backend builds it exactly
+    target = product(
+        [Polynomial((1, -(10**17), 1))] + [Polynomial((1, 0, 1))] * 4
+    )
+    args = ("realize", "-", "--t", "0", "--d", "5")
+    # a rational coefficient beyond the double range overflows in float()
+    huge = json.dumps({"coeffs": ["1", "1e400", "1"]})
+    for call, message in (
+        (lambda: run(*args, input=poly_json(target)), "constructed matrix does not conform"),
+        (lambda: run("factor", "-", input=huge), "too large for a float"),
+    ):
+        result = call()
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error:")
+        assert message in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+
+    result = run(*args, "--backend", "rational", input=poly_json(target))
+    assert result.exit_code == 0
+    assert json.loads(result.output)["residual"] <= 1e-9
 
 
 def test_factor_rejects_non_finite_coefficients():

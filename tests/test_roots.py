@@ -1,8 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from conftest import poly_from_real_roots, poly_from_root_spec
+from conftest import PROPERTY_SETTINGS, poly_from_real_roots, poly_from_root_spec
+from hypothesis import given
+from hypothesis import strategies as st
 
 from signspectra import (
     FloatMatrix,
@@ -102,6 +105,62 @@ def test_find_roots_float_multiple_roots_within_certificate():
     assert_root_sets_match(rm.roots, [1j, 1j, -1j, -1j, 1.0], tol=1e-3)
     fc = p.float_coeffs()
     assert max(backward_error(fc, z) for z in rm.roots) <= 1e-7
+
+
+def assert_distinct_roots_match_relative(got, expected, rel=1e-12):
+    # every root in got lies within rel * |w| of some root w in expected
+    for z in set(got):
+        assert min(abs(z - w) / abs(w) for w in expected) <= rel
+
+
+CANCELLING_QUADRATICS = (
+    Polynomial((1, 10**8, 1)),
+    Polynomial((1, -(10**6), 1)),
+    Polynomial((Fraction(1, 3), 10**5, 1)),
+)
+
+
+def test_rational_quadratics_use_the_cancellation_free_formula():
+    # (-a +- sqrt(a^2 - 4b)) / 2 loses the small root to cancellation when
+    # |a| >> |b|; the rational path must solve these as well as the float one
+    for q in CANCELLING_QUADRATICS:
+        expected = find_roots(q.to_float()).roots
+        for p in (q, poly_mul(q, q)):
+            rm = find_roots(p, tol=1e-9)
+            assert rm.n == p.degree
+            assert_distinct_roots_match_relative(rm.roots, expected)
+
+
+def test_rational_quadratic_discriminant_is_exact():
+    # (t - 1)(t - r) with r near 1: a float discriminant a^2 - 4b would keep
+    # only a few digits of (r - 1)^2; the exact one keeps both roots within
+    # an ulp
+    for r in (Fraction(6, 5), Fraction(10**6 + 1, 10**6), Fraction(10**9 + 1, 10**9)):
+        q = Polynomial((r, -1 - r, 1))
+        for p in (q, poly_mul(q, q)):
+            got = sorted(set(z.real for z in find_roots(p).roots))
+            assert len(got) == 2
+            for z, exact in zip(got, (1, r)):
+                assert abs(z - float(exact)) <= 2.3e-16 * float(exact)
+
+
+@PROPERTY_SETTINGS
+@given(
+    exps=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
+    signs=st.tuples(st.sampled_from((-1, 1)), st.sampled_from((-1, 1))),
+    mult=st.integers(1, 4),
+)
+def test_rational_quadratic_powers_certify(exps, signs, mult):
+    # coefficients are exact images of doubles, so q.to_float() is the same
+    # polynomial and only the root path can make the two results differ
+    b, a = (Fraction(s * 10.0**e) for s, e in zip(signs, exps))
+    q = Polynomial((b, a, Fraction(1)))
+    p = Polynomial((Fraction(1),))
+    for _ in range(mult):
+        p = poly_mul(p, q)
+    rm = find_roots(p, tol=1e-9)
+    assert rm.n == 2 * mult
+    assert_distinct_roots_match_relative(rm.roots, find_roots(q.to_float()).roots)
 
 
 def test_find_roots_rejects_constants():
@@ -286,6 +345,28 @@ def test_roots_to_quadratics_mixed_parities():
     quads = quads_of([2.0, -3.0, 0.0, 0.0])
     assert sum(1 for q in quads if q.b < 0) == 1
     assert Quadratic(0.0, 0.0) in quads
+
+
+def test_roots_to_quadratics_order():
+    # select_triple scans the quadratics in this order: conjugate pairs, then
+    # positives and negatives by decreasing magnitude, then zeros, then the
+    # pair of leftovers from the two classes with odd counts
+    quads = quads_of([3.0, 1.0, 2.0, 4.0, -1.0, -2.0, -5.0, 0.0, 0.0, 5e-10, 3j, -3j])
+    assert quads == [
+        Quadratic(0.0, 9.0),
+        Quadratic(-7.0, 12.0),
+        Quadratic(-3.0, 2.0),
+        Quadratic(7.0, 10.0),
+        Quadratic(0.0, 0.0),
+        Quadratic(1.0, 0.0),
+    ]
+    quads = quads_of([3.0, 1.0, 2.0, -1.0, -2.0, -5.0, 0.0, 0.0])
+    assert quads == [
+        Quadratic(-5.0, 6.0),
+        Quadratic(7.0, 10.0),
+        Quadratic(0.0, 0.0),
+        Quadratic(0.0, -1.0),
+    ]
 
 
 def test_roots_to_quadratics_odd_total_rejected():
