@@ -1,10 +1,12 @@
 """Exact rational and double-precision square matrices, plus pattern conformance.
 
 Two deliberately small matrix types back the two arithmetic backends.  The
-rational type keeps every entry as a Fraction so characteristic polynomials
-and residuals can be computed without rounding; the float type is the working
-representation for numeric pipelines and can be lifted to the rational type
-exactly, since every finite double is a rational number.
+rational type keeps every entry as a Fraction; the float type is the working
+representation for numeric pipelines.  Every finite double is a rational
+number, so both types have exact characteristic polynomials and residuals
+(computed in poly.py on integers scaled straight from the entries), and a
+float matrix lifts to the rational type without loss.  Conformance compares
+each entry's sign with the pattern's integer sign codes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class RationalMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(_as_fraction(e) for e in row) for row in self.entries)
+        rows = tuple([tuple([_as_fraction(e) for e in row]) for row in self.entries])
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must have order at least 1")
@@ -54,7 +56,7 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(tuple([tuple(row) for row in rows]))
 
     def lift(self) -> "RationalMatrix":
         """Already exact; returned unchanged, like Polynomial.lift()."""
@@ -81,7 +83,10 @@ class FloatMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(float(e) for e in row) for row in self.entries)
+        # hot-path tuples are built from lists: a tuple built from a generator
+        # is over-allocated and shrunk, and the shrunk tuples pile up on
+        # CPython's per-size free lists, raising peak memory
+        rows = tuple([tuple([float(e) for e in row]) for row in self.entries])
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must have order at least 1")
@@ -103,7 +108,7 @@ class FloatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "FloatMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(tuple([tuple(row) for row in rows]))
 
     def lift(self) -> RationalMatrix:
         """Exact rational image; doubles are dyadic rationals so nothing is lost."""
@@ -160,9 +165,14 @@ def conforms(matrix, pattern: SignPattern) -> bool:
     """
     if matrix.n != pattern.n:
         raise ValueError(f"order mismatch: matrix is {matrix.n}, pattern is {pattern.n}")
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            if Sign.of(matrix[i, j]) is not pattern[i, j]:
+    return _rows_conform(matrix.entries, pattern._codes)
+
+
+def _rows_conform(rows, codes) -> bool:
+    # every entry's (e > 0) - (e < 0) equals its pattern's sign code
+    for row, row_codes in zip(rows, codes):
+        for e, s in zip(row, row_codes):
+            if (e > 0) - (e < 0) != s:
                 return False
     return True
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 
@@ -47,7 +48,7 @@ class SignPattern:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+        rows = tuple([tuple(row) for row in self.entries])
         n = len(rows)
         if n == 0:
             raise ValueError("sign pattern must have order at least 1")
@@ -66,6 +67,15 @@ class SignPattern:
     def __getitem__(self, ij) -> Sign:
         i, j = ij
         return self.entries[i][j]
+
+    @cached_property
+    def _codes(self) -> tuple:
+        # entry signs as ints 1, 0, -1, the value of (e > 0) - (e < 0); compared
+        # by identity, since hashing an Enum member runs Python code
+        plus, minus = Sign.PLUS, Sign.MINUS
+        return tuple(
+            tuple([1 if s is plus else -1 if s is minus else 0 for s in row]) for row in self.entries
+        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "SignPattern":

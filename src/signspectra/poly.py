@@ -2,11 +2,17 @@
 
 Characteristic polynomials follow the det(tI - M) convention, so they are
 always monic.  Every matrix, rational or float, takes one exact path: the
-entries are scaled by their common denominator to Python ints (a double is a
-dyadic rational, so a float matrix lifts exactly), the matrix is split at its
-block-diagonal cuts, an integer trace recursion runs on each block, the block
-polynomials are multiplied by the same convolution as poly_mul, and the scale
-is divided out once at the end.
+matrix is split at its block-diagonal cuts, the entries of the diagonal blocks
+are scaled by their common denominator to Python ints straight from each
+entry's integer ratio (a double is a dyadic rational, so nothing is rounded),
+an integer trace recursion runs on each block, the block polynomials are
+multiplied by the same convolution as poly_mul, and the scale is divided out
+once at the end.
+
+Residuals take the same exact route: realize_poly and verify_realization
+compare a matrix's scaled integer coefficients with the target's, over one
+common denominator, and round the quotient once; coefficient_residual applies
+the same formula to two polynomials.  No Fraction matrix is built.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .matrices import FloatMatrix, RationalMatrix, block_orders, parse_rational
@@ -27,9 +34,9 @@ def _normalize_coeffs(coeffs):
     if any(isinstance(c, float) for c in coeffs):
         if not all(isinstance(c, (float, int)) for c in coeffs):
             raise TypeError("cannot mix float and Fraction coefficients")
-        return tuple(float(c) for c in coeffs)
+        return tuple([float(c) for c in coeffs])
     if all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return tuple(Fraction(c) for c in coeffs)
+        return tuple([Fraction(c) for c in coeffs])
     raise TypeError("coefficients must be Fraction/int or float")
 
 
@@ -155,6 +162,35 @@ def _charpoly_int(a: list, n: int) -> list:
     return c
 
 
+def _over_common_denominator(values) -> tuple:
+    # exact rationals (ints, Fractions or doubles) as ints over their lcm denominator
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _charpoly_scaled(matrix) -> tuple:
+    """(c, scale) with det(tI - M) = sum_k c[k] * t**k / scale**(n-k), all ints.
+
+    scale is the common denominator of the entries, taken straight from the
+    entries' integer ratios (a double is dyadic); c is the characteristic
+    polynomial of scale*M, the product of its diagonal blocks' polynomials.
+    """
+    orders = block_orders(matrix)
+    cuts = [0, *accumulate(orders)]
+    # entries outside the diagonal blocks are zero and do not change the scale
+    flat, scale = _over_common_denominator(
+        [e for lo, hi in zip(cuts, cuts[1:]) for row in matrix.entries[lo:hi] for e in row[lo:hi]]
+    )
+    c = [1]
+    pos = 0
+    for order in orders:
+        block = [flat[pos + i * order : pos + (i + 1) * order] for i in range(order)]
+        c = _convolve(c, _charpoly_int(block, order))
+        pos += order * order
+    return c, scale
+
+
 def char_poly(matrix) -> Polynomial:
     """Characteristic polynomial det(tI - M), monic, on the matrix's backend.
 
@@ -164,36 +200,41 @@ def char_poly(matrix) -> Polynomial:
     """
     if not isinstance(matrix, (RationalMatrix, FloatMatrix)):
         raise TypeError(f"expected a matrix, got {type(matrix).__name__}")
+    c, scale = _charpoly_scaled(matrix)
     n = matrix.n
-    ratios = [[e.as_integer_ratio() for e in row] for row in matrix.entries]
-    scale = math.lcm(*{den for row in ratios for _, den in row})
-    a = [[num * (scale // den) for num, den in row] for row in ratios]
-    # char poly of scale*M is the product of its diagonal blocks' char polys
-    c = [1]
-    start = 0
-    for order in block_orders(matrix):
-        stop = start + order
-        c = _convolve(c, _charpoly_int([row[start:stop] for row in a[start:stop]], order))
-        start = stop
-    # coefficient k of det(tI - M) is c[k] / scale**(n-k)
     if isinstance(matrix, FloatMatrix):
         return Polynomial(tuple(c[k] / scale ** (n - k) for k in range(n + 1)))
     return Polynomial(tuple(Fraction(c[k], scale ** (n - k)) for k in range(n + 1)))
 
 
+def _residual(p: list, pden: int, target: Polynomial) -> float:
+    # max_k |p[k]/pden - t_k| / max(1, max_j |t_j|) over the target's common
+    # denominator, rounded once: the same double as the Fraction expression
+    t, tden = _over_common_denominator(target.coeffs)
+    err = max(abs(pk * tden - tk * pden) for pk, tk in zip(p, t))
+    return err / (pden * max(tden, max(abs(tk) for tk in t)))
+
+
+def _charpoly_residual(matrix, target: Polynomial) -> float:
+    """coefficient_residual(char_poly(matrix), target) without rounding the
+    characteristic polynomial first: exact, from the scaled ints."""
+    if target.degree != matrix.n:
+        raise ValueError(f"degree mismatch: {matrix.n} vs {target.degree}")
+    c, scale = _charpoly_scaled(matrix)
+    # over the one denominator scale**n, coefficient k is c[k] * scale**k
+    return _residual([ck * scale**k for k, ck in enumerate(c)], scale**matrix.n, target)
+
+
 def coefficient_residual(p: Polynomial, target: Polynomial) -> float:
     """max_k |p_k - target_k| / max(1, max_j |target_j|), computed exactly.
 
-    Both polynomials are lifted to the rational backend first, so the residual
-    reflects true coefficient deviations rather than float cancellation.
+    Both polynomials are taken as exact rationals (ints over a common
+    denominator), so the residual reflects true coefficient deviations rather
+    than float cancellation; the quotient is rounded once.
     """
     if p.degree != target.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {target.degree}")
-    pc = p.lift().coeffs
-    tc = target.lift().coeffs
-    err = max(abs(a - b) for a, b in zip(pc, tc))
-    scale = max(Fraction(1), max(abs(c) for c in tc))
-    return float(err / scale)
+    return _residual(*_over_common_denominator(p.coeffs), target)
 
 
 def divisors_degree6(factors: Sequence[Polynomial]) -> list:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
 from .patterns import builtin_pattern
-from .poly import Polynomial, Quadratic, char_poly, coefficient_residual, poly_mul
+from .poly import Polynomial, Quadratic, _charpoly_residual, poly_mul
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
 
 _MAX_DOUBLINGS = 64
@@ -246,7 +246,7 @@ def select_triple(quads, eps_zero) -> TripleSelection:
             q = Quadratic(q.a - q.a, q.b)
         triple.append(q)
     chosen_set = set(chosen)
-    rest = tuple(q for i, q in enumerate(quads) if i not in chosen_set)
+    rest = tuple([q for i, q in enumerate(quads) if i not in chosen_set])
     return TripleSelection(tuple(triple), rest, label, snapped)
 
 
@@ -293,9 +293,11 @@ def realize_poly(
     2x2 blocks.  At most one quadratic has a negative constant term and it
     always lands in a 2x2 block, which keeps the triple selection fed.
 
-    The residual is computed exactly: the output matrix is lifted to
-    rationals, its characteristic polynomial taken, and the result compared
-    to the lifted target, so float cancellation cannot hide a miss.  arrangement
+    The residual is computed exactly: the output matrix's characteristic
+    polynomial is taken on integers scaled from its entries and compared with
+    the target's exact value before anything is rounded, so float
+    cancellation cannot hide a miss.  A realize_sextic failure on a selected
+    triple raises ArithmeticError.  arrangement
     is "grouped" (template blocks first) or "alternating" (template and 2x2
     blocks interleaved; needs t == d), which changes the conforming pattern
     but not the spectrum.
@@ -322,7 +324,13 @@ def realize_poly(
         sel = select_triple(quads, eps_zero)
         quads = list(sel.rest)
         perturbation += sel.snapped
-        _, m6 = realize_sextic(_sextic_target(sel.triple, backend))
+        target = _sextic_target(sel.triple, backend)
+        try:
+            _, m6 = realize_sextic(target)
+        except ValueError as e:
+            # a sign-homogeneous triple passes the gate by construction, so
+            # this is the construction failing, not a bad input
+            raise ArithmeticError(str(e)) from e
         t_blocks.append(m6)
     d_blocks = [realize_quadratic(q.a, q.b, backend=backend) for q in quads]
 
@@ -337,14 +345,14 @@ def realize_poly(
     if not conforms(matrix, pattern):
         raise ArithmeticError("constructed matrix does not conform; parameter bounds failed")
 
-    residual = coefficient_residual(char_poly(matrix.lift()), f)
+    residual = _charpoly_residual(matrix, f)
     return RealizationReport(
         matrix=matrix,
         pattern=pattern,
         target=f,
         residual=residual,
         perturbation=perturbation,
-        block_orders=tuple(b.n for b in blocks),
+        block_orders=tuple([b.n for b in blocks]),
         block_tags=tuple(tags),
         backend=backend,
     )

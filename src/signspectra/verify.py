@@ -13,14 +13,15 @@ rather than overclaiming.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .matrices import RationalMatrix, block_diag, block_orders, conforms
-from .patterns import Sign, SignPattern, builtin_pattern, is_superpattern
-from .poly import Polynomial, char_poly, coefficient_residual, divisors_degree6, poly_mul
+from .matrices import RationalMatrix, _rows_conform, block_diag, block_orders, conforms
+from .patterns import SignPattern, builtin_pattern, is_superpattern
+from .poly import Polynomial, _charpoly_int, _charpoly_residual, char_poly, divisors_degree6, poly_mul
 from .realize import realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
 from .roots import RefinedInertia, refined_inertia_of
 
@@ -30,24 +31,33 @@ def random_monic_polynomial(degree: int, rng: random.Random) -> Polynomial:
     return Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(degree)) + (1.0,))
 
 
+def _draw_conforming(pattern: SignPattern, rng: random.Random) -> list:
+    # rows of (k, l) int pairs, entry k/l: a nonzero entry draws k then l
+    # uniform in 1..100 and takes the pattern's sign on k; a zero entry is (0, 1)
+    rows = []
+    for codes in pattern._codes:
+        row = []
+        for s in codes:
+            if s:
+                k = rng.randint(1, 100)
+                row.append((s * k, rng.randint(1, 100)))
+            else:
+                row.append((0, 1))
+        rows.append(row)
+    return rows
+
+
+def _pairs_to_matrix(pairs: list) -> RationalMatrix:
+    return RationalMatrix.from_rows([[Fraction(k, l) for k, l in row] for row in pairs])
+
+
 def sample_conforming_matrix(pattern: SignPattern, rng: random.Random) -> RationalMatrix:
     """Random rational matrix conforming to the pattern.
 
     Nonzero entries are +-k/l with k, l uniform in 1..100 and the sign taken
     from the pattern; zero entries are exactly zero.
     """
-    rows = []
-    for i in range(pattern.n):
-        row = []
-        for j in range(pattern.n):
-            s = pattern[i, j]
-            if s is Sign.ZERO:
-                row.append(Fraction(0))
-            else:
-                value = Fraction(rng.randint(1, 100), rng.randint(1, 100))
-                row.append(value if s is Sign.PLUS else -value)
-        rows.append(row)
-    return RationalMatrix.from_rows(rows)
+    return _pairs_to_matrix(_draw_conforming(pattern, rng))
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,20 @@ class IdentityCheckReport:
         }
 
 
-def _identity_holds(which: str, m: RationalMatrix) -> bool:
-    cp = char_poly(m)
-    a3, a5 = cp.coeffs[3], cp.coeffs[5]
-    head = m[0, 0] + m[1, 1]
+def _identity_holds(which: str, a: list) -> bool:
+    # a = L*M for a 6x6 rational M and an integer L > 0, so the char poly of a
+    # has C5 = L*a5 and C3 = L**3*a3, and both identities scale the same way
+    c = _charpoly_int(a, 6)
+    c3, c5 = c[3], c[5]
+    head = a[0][0] + a[1][1]
     expected5 = -head
-    expected3 = head * m[4, 5] * m[5, 4]
+    expected3 = head * a[4][5] * a[5][4]
     if which == "Tprime":
-        expected3 = expected3 - m[0, 1] * m[1, 2] * m[2, 0]
+        expected3 = expected3 - a[0][1] * a[1][2] * a[2][0]
         # every entry of the cycle is nonzero, so a3 and a5 cannot both vanish
-        if a3 == 0 and a5 == 0:
+        if c3 == 0 and c5 == 0:
             return False
-    return a3 == expected3 and a5 == expected5
+    return c3 == expected3 and c5 == expected5
 
 
 def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCheckReport:
@@ -102,12 +114,11 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     rng = random.Random(seed)
     first_failure = None
     for _ in range(samples):
-        m = sample_conforming_matrix(pattern, rng)
-        if not conforms(m, pattern):
-            first_failure = m
-            break
-        if not _identity_holds(which, m):
-            first_failure = m
+        pairs = _draw_conforming(pattern, rng)
+        scale = math.lcm(*(l for row in pairs for _, l in row))
+        a = [[k * (scale // l) for k, l in row] for row in pairs]
+        if not (_rows_conform(a, pattern._codes) and _identity_holds(which, a)):
+            first_failure = _pairs_to_matrix(pairs)
             break
     return IdentityCheckReport(
         pattern=pattern,
@@ -186,8 +197,8 @@ def verify_realization(report, tol: float) -> bool:
 
     Checks conformance, that every declared block boundary is a cut of the
     matrix (everything outside the declared diagonal blocks is exactly zero),
-    and that the exact characteristic polynomial of the lifted matrix matches
-    the target within tol (0 demands exactness).
+    and that the exact characteristic polynomial of the matrix's entries
+    matches the target within tol (0 demands exactness).
     """
     matrix, orders = report.matrix, report.block_orders
     if matrix.n != report.pattern.n or report.target.degree != matrix.n:
@@ -198,8 +209,7 @@ def verify_realization(report, tol: float) -> bool:
         return False
     if not set(accumulate(block_orders(matrix))).issuperset(accumulate(orders)):
         return False
-    residual = coefficient_residual(char_poly(matrix.lift()), report.target)
-    return residual <= tol
+    return _charpoly_residual(matrix, report.target) <= tol
 
 
 @dataclass(frozen=True)

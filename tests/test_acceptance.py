@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import PROPERTY_SETTINGS, poly_from_root_spec
+from conftest import PROPERTY_SETTINGS, charpoly_by_cofactors, poly_from_root_spec
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -280,7 +280,11 @@ def test_criterion_8_property_suites():
     def block_charpoly_multiplies(mats):
         counts["blocks"] = counts.get("blocks", 0) + 1
         a, b = mats
-        assert char_poly(block_diag([a, b])) == poly_mul(char_poly(a), char_poly(b))
+        whole = block_diag([a, b])
+        product = poly_mul(char_poly(a), char_poly(b))
+        assert char_poly(whole) == product
+        # char_poly splits at block cuts itself, so also check an independent path
+        assert charpoly_by_cofactors(whole) == product
 
     @PROPERTY_SETTINGS
     @given(_pattern_chain())

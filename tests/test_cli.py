@@ -264,6 +264,21 @@ def test_arithmetic_error_exits_1_without_traceback():
     assert json.loads(result.output)["residual"] <= 1e-9
 
 
+def test_construction_failure_on_valid_input_exits_1():
+    # float t^16 + 1e300: every quadratic lands in the zero class and float
+    # cancellation in x7 outlasts every doubling of x1; the input is valid, so
+    # this is a computation failure, not a usage error
+    blob = json.dumps({"coeffs": [1e300] + [0.0] * 15 + [1.0]})
+    result = run("realize", "-", "--t", "1", "--d", "5", input=blob)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert result.stderr.count("\n") == 1
+    assert "no positive parameter assignment" in result.stderr
+    assert "--help" not in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+
+
 def test_factor_rejects_non_finite_coefficients():
     # Python's json module accepts the Infinity and NaN literals
     for blob in ('{"coeffs": [1.0, Infinity, 0.0, 0.0, 1.0]}', '{"coeffs": [NaN, 0.0, 1.0]}'):

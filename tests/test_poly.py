@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import charpoly_by_cofactors
+from conftest import PROPERTY_SETTINGS, charpoly_by_cofactors
+from hypothesis import given
+from hypothesis import strategies as st
 
 from signspectra import (
     FloatMatrix,
     Polynomial,
     Quadratic,
     RationalMatrix,
+    block_diag,
     char_poly,
     coefficient_residual,
     divisors_degree6,
@@ -16,6 +19,7 @@ from signspectra import (
     polynomial_from_dict,
     realize_even_sextic,
 )
+from signspectra.poly import _charpoly_residual
 
 
 def test_polynomial_backends():
@@ -149,6 +153,101 @@ def test_char_poly_float_agrees_with_rational():
     f = FloatMatrix.from_rows(rows)
     # correctly rounded: the doubles nearest the exact coefficients
     assert char_poly(f) == char_poly(f.lift()).to_float()
+
+
+def test_char_poly_pinned_outputs():
+    # frozen values on both backends, so a change of the integer path shows
+    f = FloatMatrix.from_rows([[0.5, -3.25, 0.0], [1e-3, 2.0, 7.0], [0.0, -1.5, 1e10]])
+    assert char_poly(f).coeffs == (-10032500005.25, 25000000011.50325, -10000000002.5, 1.0)
+    assert [str(c) for c in char_poly(f.lift()).coeffs] == [
+        "-45182363285238399166741979/4503599627370496",
+        "115292150513734074791474849907/4611686018427387904",
+        "-20000000005/2",
+        "1",
+    ]
+    r = RationalMatrix.from_rows(
+        [[Fraction(1, 3), 2, 0], [Fraction(-5, 7), 0, 1], [4, Fraction(1, 2), -1]]
+    )
+    assert [str(c) for c in char_poly(r).coeffs] == ["-269/42", "25/42", "2/3", "1"]
+    assert char_poly(r.to_float()).coeffs == (
+        -6.404761904761905,
+        0.5952380952380953,
+        0.6666666666666667,
+        1.0,
+    )
+
+
+@st.composite
+def _residual_case(draw):
+    # entries come from a Random with a drawn seed: cheap to generate at order
+    # 12 and spread over the whole range rather than crowded near zero
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    rational = draw(st.booleans())
+    # float entries span a drawn window of decades inside 1e-300..1e300, the
+    # whole range in some examples; a quarter of them are signed zeros
+    lo = draw(st.integers(min_value=-300, max_value=299))
+    hi = draw(st.integers(min_value=lo, max_value=299))
+
+    def entry(rational):
+        if rational:
+            return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+        if rng.random() < 0.25:
+            return rng.choice([0.0, -0.0])
+        return rng.choice([1, -1]) * rng.uniform(1.0, 9.99) * 10.0 ** rng.randint(lo, hi)
+
+    def square(k):
+        return (RationalMatrix if rational else FloatMatrix).from_rows(
+            [[entry(rational) for _ in range(k)] for _ in range(k)]
+        )
+
+    if draw(st.booleans()):
+        m = square(draw(st.integers(min_value=1, max_value=12)))
+    else:
+        sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4))
+        m = block_diag([square(k) for k in sizes])
+    kind = draw(st.sampled_from(["float", "rational", "exact"]))
+    if kind == "exact":
+        return m, char_poly(m.lift())
+    return m, Polynomial(tuple(entry(kind == "rational") for _ in range(m.n)) + (1,))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except OverflowError:
+        return "overflow"
+
+
+def _fraction_residual(p, target):
+    # the residual formula written out in Fractions, sharing no code with poly
+    pc = [Fraction(c) for c in p.coeffs]
+    tc = [Fraction(c) for c in target.coeffs]
+    err = max(abs(a - b) for a, b in zip(pc, tc))
+    return float(err / max(Fraction(1), max(abs(c) for c in tc)))
+
+
+def test_charpoly_residual_equals_coefficient_residual():
+    @PROPERTY_SETTINGS
+    @given(_residual_case())
+    def same_residual(case):
+        m, target = case
+        exact = char_poly(m.lift())
+        residual = _outcome(lambda: _charpoly_residual(m, target))
+        assert residual == _outcome(lambda: coefficient_residual(exact, target))
+        assert residual == _outcome(lambda: _fraction_residual(exact, target))
+        # char_poly itself is unchanged: correctly rounded on floats, and the
+        # exact polynomial agrees with the cofactor oracle
+        if isinstance(m, FloatMatrix):
+            assert _outcome(lambda: char_poly(m).coeffs) == _outcome(
+                lambda: tuple(float(c) for c in exact.coeffs)
+            )
+        if m.n <= 5:
+            assert exact == charpoly_by_cofactors(m)
+
+    same_residual()
+    f = FloatMatrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError, match="degree mismatch"):
+        _charpoly_residual(f, Polynomial((1.0, 1.0)))
 
 
 def test_coefficient_residual():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -70,6 +71,41 @@ def test_check_identity_smoke():
         assert report.samples == 200
         assert report.seed == seed
         json.dumps(report.to_dict())
+
+
+def test_check_identity_first_failure_is_the_drawn_sample(monkeypatch):
+    # failing the identity on the k-th sample reports exactly the k-th draw
+    # of sample_conforming_matrix, so the RNG order and the signs are shared
+    verify = importlib.import_module("signspectra.verify")
+    for which in ("T", "Tprime"):
+        pattern = builtin_pattern(which)
+        for seed, k in ((0, 1), (11, 3)):
+            calls = []
+
+            def fail_on_kth(which_arg, a, calls=calls, k=k):
+                calls.append(which_arg)
+                return len(calls) < k
+
+            monkeypatch.setattr(verify, "_identity_holds", fail_on_kth)
+            report = check_identity(which, samples=5, seed=seed)
+            rng = random.Random(seed)
+            draws = [sample_conforming_matrix(pattern, rng) for _ in range(k)]
+            assert not report.all_passed
+            assert calls == [which] * k
+            assert report.first_failure == draws[-1]
+            assert conforms(report.first_failure, pattern)
+
+
+def test_sample_conforming_matrix_pinned_draw():
+    m = sample_conforming_matrix(builtin_pattern("Tprime"), random.Random(2024))
+    assert m.to_dict()["entries"] == [
+        ["61/24", "94/75", "0", "0", "0", "0"],
+        ["-3/2", "-93/53", "97/92", "0", "0", "0"],
+        ["49/17", "0", "0", "69/32", "0", "0"],
+        ["0", "0", "0", "0", "82/95", "0"],
+        ["-32/23", "-27/34", "0", "0", "0", "94/79"],
+        ["7/10", "10/13", "43/67", "0", "-5/47", "0"],
+    ]
 
 
 def test_check_identity_validation():
