@@ -203,7 +203,16 @@ def char_poly(matrix) -> Polynomial:
     c, scale = _charpoly_scaled(matrix)
     n = matrix.n
     if isinstance(matrix, FloatMatrix):
-        return Polynomial(tuple(c[k] / scale ** (n - k) for k in range(n + 1)))
+        coeffs = []
+        for k in range(n + 1):
+            try:
+                coeffs.append(c[k] / scale ** (n - k))
+            except OverflowError:
+                raise OverflowError(
+                    f"the t^{k} coefficient of the characteristic polynomial of an "
+                    f"order-{n} matrix lies beyond the double range"
+                ) from None
+        return Polynomial(tuple(coeffs))
     return Polynomial(tuple(Fraction(c[k], scale ** (n - k)) for k in range(n + 1)))
 
 
@@ -212,7 +221,12 @@ def _residual(p: list, pden: int, target: Polynomial) -> float:
     # denominator, rounded once: the same double as the Fraction expression
     t, tden = _over_common_denominator(target.coeffs)
     err = max(abs(pk * tden - tk * pden) for pk, tk in zip(p, t))
-    return err / (pden * max(tden, max(abs(tk) for tk in t)))
+    try:
+        return err / (pden * max(tden, max(abs(tk) for tk in t)))
+    except OverflowError:
+        raise OverflowError(
+            f"the coefficient residual at order {target.degree} lies beyond the double range"
+        ) from None
 
 
 def _charpoly_residual(matrix, target: Polynomial) -> float:

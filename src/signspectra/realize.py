@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
 from .patterns import builtin_pattern
-from .poly import Polynomial, Quadratic, _charpoly_residual, poly_mul
+from .poly import Polynomial, Quadratic, _charpoly_residual, _convolve, poly_mul
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
 
 _MAX_DOUBLINGS = 64
@@ -179,12 +179,13 @@ def realize_quadratic(p1, p0, backend: str = "rational"):
 
     [[alpha, 1], [-gamma, -delta]] with alpha = |p1| + |p0| + 2 and
     delta = alpha + p1 has trace -p1; gamma = p0 + alpha*delta makes the
-    determinant p0, and alpha*delta > |p0| keeps gamma positive.  Total and
-    exact on the rational backend.
+    determinant p0, and alpha*delta > |p0| keeps gamma positive.  delta is
+    formed as |p0| + 2 (p1 < 0) or 2*p1 + |p0| + 2 (p1 >= 0), which cannot
+    cancel in floating point.  Total and exact on the rational backend.
     """
     p1, p0 = _coerce(p1, backend), _coerce(p0, backend)
     alpha = abs(p1) + abs(p0) + 2
-    delta = alpha + p1
+    delta = abs(p0) + 2 if p1 < 0 else 2 * p1 + abs(p0) + 2
     beta = _coerce(1, backend)
     gamma = p0 + alpha * delta
     cls = RationalMatrix if backend == "rational" else FloatMatrix
@@ -378,15 +379,16 @@ _DELTA_QUADS = {
 }
 
 
-def _cubic(split, n: int) -> Polynomial:
-    # monic cubics with prescribed signs: (t-N)^3, (t+N)^3, (t+3N)(t-N)^2, (t-3N)(t+N)^2
+def _cubic(split, n: int) -> list:
+    # monic cubics with prescribed signs, ascending int coefficients:
+    # (t-N)^3, (t+N)^3, (t+3N)(t-N)^2, (t-3N)(t+N)^2
     if split == (3, 0):
-        return Polynomial((-n**3, 3 * n**2, -3 * n, 1))
+        return [-n**3, 3 * n**2, -3 * n, 1]
     if split == (0, 3):
-        return Polynomial((n**3, 3 * n**2, 3 * n, 1))
+        return [n**3, 3 * n**2, 3 * n, 1]
     if split == (2, 1):
-        return Polynomial((3 * n**3, -5 * n**2, n, 1))
-    return Polynomial((-3 * n**3, -5 * n**2, -n, 1))
+        return [3 * n**3, -5 * n**2, n, 1]
+    return [-3 * n**3, -5 * n**2, -n, 1]
 
 
 def realize_subinertia(nu) -> tuple:
@@ -434,19 +436,19 @@ def realize_subinertia(nu) -> tuple:
     else:
         raise ArithmeticError("unreachable: fewer than three real eigenvalues off the axes")
 
-    h = Polynomial((1,))
-    for _ in range(mu.n_zero):
-        h = poly_mul(h, Polynomial((0, 1)))
-    for _ in range(mu.n_imag):
-        h = poly_mul(h, Polynomial((1, 0, 1)))
-    for _ in range(mu.n_plus - split[0]):
-        h = poly_mul(h, Polynomial((-1, 1)))
-    for _ in range(mu.n_minus - split[1]):
-        h = poly_mul(h, Polynomial((1, 1)))
+    h = [1]
+    for factor, count in (
+        ([0, 1], mu.n_zero),
+        ([1, 0, 1], mu.n_imag),
+        ([-1, 1], mu.n_plus - split[0]),
+        ([1, 1], mu.n_minus - split[1]),
+    ):
+        for _ in range(count):
+            h = _convolve(h, factor)
 
     n = 1
     for _ in range(_MAX_DOUBLINGS):
-        target = poly_mul(_cubic(split, n), h)
+        target = Polynomial(tuple(_convolve(_cubic(split, n), h)))
         if not violates_sextic_gate(target):
             _, matrix = realize_sextic(target)
             return mu, matrix

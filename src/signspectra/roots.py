@@ -7,9 +7,13 @@ r2 = b / r1), and higher degrees take the eigenvalues of the companion matrix,
 which are backward stable (Edelman & Murakami, Math. Comp. 1995).  The
 backward-error certificate in find_roots is the only gate on the result.  A
 rational polynomial of degree at most _SQUAREFREE_DEGREE_CAP is first split
-into squarefree factors with exact arithmetic and each factor goes through the
-same solver, so multiple roots (including high-order zero and purely imaginary
-roots) are located without the clustering loss that a float solve suffers.
+into squarefree factors and each factor goes through the same solver, so
+multiple roots (including high-order zero and purely imaginary roots) are
+located without the clustering loss that a float solve suffers.  The split is
+Yun's algorithm (Yun, SYMSAC 1976) run on the primitive integer polynomial
+with the same roots: denominators are cleared once, gcds come from a primitive
+pseudo-remainder sequence, and every quotient is an exact integer division, so
+no Fraction arithmetic runs until the monic factors are formed.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .poly import Polynomial, Quadratic, char_poly
+from .poly import Polynomial, Quadratic, _over_common_denominator, char_poly
 
 # The one root kernel: companion-matrix eigenvalues through numpy.
 KERNEL = "numpy"
 
 # Above this degree the exact squarefree split is skipped: coefficient growth
-# in the rational gcd outweighs its benefit, and simple roots do not need it.
+# in the exact gcd outweighs its benefit, and simple roots do not need it.
 _SQUAREFREE_DEGREE_CAP = 32
 
 
@@ -124,88 +128,105 @@ def _roots_of_coeffs(coeffs: list) -> list:
     return [0j] * zeros + roots
 
 
-# --- exact squarefree split over Fraction coefficient lists (ascending) ---
+# --- exact squarefree split over primitive integer coefficient lists (ascending) ---
 
 
-def _trim(p: list) -> list:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
+def _ztrim(p: list) -> list:
+    # a copy of p without vanishing leading coefficients; zero stays [0]
+    n = len(p)
+    while n > 1 and not p[n - 1]:
+        n -= 1
+    return p[:n]
 
 
-def _is_zero(p: list) -> bool:
-    return all(c == 0 for c in p)
+def _primitive(p: list) -> list:
+    # p divided by its content, with a positive leading coefficient; p nonzero
+    g = math.gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
 
 
-def _derivative(p: list) -> list:
-    if len(p) == 1:
-        return [Fraction(0)]
-    return _trim([i * p[i] for i in range(1, len(p))])
+def _zgcd(a: list, b: list) -> list:
+    """Primitive gcd of two integer polynomials (a nonzero, no leading zero)
+    with a positive leading coefficient, by the primitive pseudo-remainder
+    sequence."""
+    a = _primitive(a)
+    b = _ztrim(b)
+    while any(b):
+        b = _primitive(b)
+        if len(b) == 1:
+            return [1]
+        r = list(a)
+        lb, db = b[-1], len(b) - 1
+        # pseudo-remainder, each step scaled only by lb / gcd(lb, lead)
+        while len(r) > db:
+            lr = r.pop()
+            if lr:
+                g = math.gcd(lb, lr)
+                s, t, k = lb // g, lr // g, len(r) - db
+                r = [s * c for c in r]
+                for j in range(db):
+                    r[k + j] -= t * b[j]
+        a, b = b, _ztrim(r)
+    return a
 
 
-def _pdivmod(a: list, b: list):
-    # polynomial long division over Fraction; b must be nonzero
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    if len(a) - 1 < db:
-        return [Fraction(0)], _trim(a)
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / lb
+def _zdiv_exact(a: list, b: list) -> list:
+    # a / b over the integers.  b is primitive, so by Gauss's lemma a quotient
+    # that is exact over the rationals has integer coefficients.
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    q = [0] * max(1, len(r) - db)
+    for k in range(len(r) - db - 1, -1, -1):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division in squarefree split")
         q[k] = c
         if c:
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return _trim(q), _trim(a[:db] if db else [Fraction(0)])
-
-
-def _pdiv_exact(a: list, b: list) -> list:
-    q, r = _pdivmod(a, b)
-    if not _is_zero(r):
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    if any(r[:db]):
         raise ArithmeticError("inexact polynomial division in squarefree split")
     return q
 
 
-def _psub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
+def _zderivative(p: list) -> list:
+    return [k * p[k] for k in range(1, len(p))] or [0]
+
+
+def _zsub(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
-    return _trim(out)
-
-
-def _pgcd(a: list, b: list) -> list:
-    # Euclid with monic normalization each round to keep coefficients tame.
-    a, b = _trim(list(a)), _trim(list(b))
-    while not _is_zero(b):
-        b = [c / b[-1] for c in b]
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    return [c / a[-1] for c in a]
+    return _ztrim(out)
 
 
 def _squarefree_factors(p: Polynomial) -> list:
-    """Decompose a monic rational polynomial into (squarefree factor, multiplicity)."""
-    a = list(p.coeffs)
-    da = _derivative(a)
-    g = _pgcd(a, da)
+    """Decompose a monic rational polynomial into (squarefree factor, multiplicity).
+
+    Yun's algorithm on the primitive integer polynomial with p's roots: the
+    denominators are cleared once, every gcd is primitive with a positive
+    leading coefficient, and every quotient is an exact integer division.
+    Factors come back monic, in increasing multiplicity.
+    """
+    a = _primitive(_over_common_denominator(p.coeffs)[0])
+    da = _zderivative(a)
+    g = _zgcd(a, da)
     if len(g) == 1:
         return [(p, 1)]
-    b = _pdiv_exact(a, g)
-    c = _pdiv_exact(da, g)
-    d = _psub(c, _derivative(b))
+    b = _zdiv_exact(a, g)
+    d = _zsub(_zdiv_exact(da, g), _zderivative(b))
     out = []
     i = 1
     while len(b) > 1:
-        ai = _pgcd(b, d)
+        ai = _zgcd(b, d)
         if len(ai) > 1:
-            out.append((Polynomial(tuple(ai)), i))
-        b = _pdiv_exact(b, ai)
-        c = _pdiv_exact(d, ai)
-        d = _psub(c, _derivative(b))
+            lead = ai[-1]
+            out.append((Polynomial(tuple([Fraction(c, lead) for c in ai])), i))
+            b = _zdiv_exact(b, ai)
+            d = _zdiv_exact(d, ai)
+        d = _zsub(d, _zderivative(b))
         i += 1
     return out
 

@@ -2,7 +2,8 @@
 
 The characteristic-polynomial oracle here expands det(tI - M) by cofactors
 over exact rational polynomial arithmetic, sharing no code with the trace
-recursion under test.
+recursion under test; the gcd oracle is Euclid's algorithm over Fraction
+coefficient lists, sharing no code with the integer squarefree split.
 """
 
 from fractions import Fraction
@@ -38,6 +39,32 @@ def _pl_mul(a, b):
             for j, d in enumerate(b):
                 out[i + j] += c * d
     return out
+
+
+def pl_product(factors):
+    """Product of ascending Fraction coefficient lists."""
+    out = [Fraction(1)]
+    for f in factors:
+        out = _pl_mul(out, f)
+    return out
+
+
+def pl_gcd(a, b):
+    """Monic gcd of two ascending coefficient lists by Euclid over Fractions."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while any(b):
+        while b[-1] == 0:
+            b.pop()
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for j, c in enumerate(b):
+                r[shift + j] -= q * c
+            r.pop()
+        a, b = b, r or [Fraction(0)]
+    return [c / a[-1] for c in a]
 
 
 def _pl_det(rows):

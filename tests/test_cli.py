@@ -7,7 +7,16 @@ import pytest
 from click.testing import CliRunner
 
 import signspectra
-from signspectra import Polynomial, RefinedInertia, poly_mul, polynomial_from_dict
+from signspectra import (
+    Polynomial,
+    RealizationReport,
+    RefinedInertia,
+    SignPattern,
+    matrix_from_dict,
+    poly_mul,
+    polynomial_from_dict,
+    verify_realization,
+)
 from signspectra.cli import main
 
 
@@ -239,29 +248,40 @@ def test_factor_rational_quadratic_with_cancelling_roots():
 
 
 def test_arithmetic_error_exits_1_without_traceback():
-    # (t^2 - 1e17 t + 1)(t^2 + 1)^4: the float 2x2 block for the first factor
-    # loses the +2 in alpha = |p1| + |p0| + 2 and fails conformance, while the
-    # rational backend builds it exactly
+    # a rational coefficient beyond the double range overflows in float()
+    huge = json.dumps({"coeffs": ["1", "1e400", "1"]})
+    result = run("factor", "-", input=huge)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error:")
+    assert "too large for a float" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+
+
+def test_float_quadratic_block_keeps_delta_at_extreme_scale():
+    # (t^2 - 1e17 t + 1)(t^2 + 1)^4: delta = alpha + p1 would round to 0 in
+    # doubles; formed as |p0| + 2 it stays positive and the block conforms
     target = product(
         [Polynomial((1, -(10**17), 1))] + [Polynomial((1, 0, 1))] * 4
     )
     args = ("realize", "-", "--t", "0", "--d", "5")
-    # a rational coefficient beyond the double range overflows in float()
-    huge = json.dumps({"coeffs": ["1", "1e400", "1"]})
-    for call, message in (
-        (lambda: run(*args, input=poly_json(target)), "constructed matrix does not conform"),
-        (lambda: run("factor", "-", input=huge), "too large for a float"),
-    ):
-        result = call()
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.stderr.startswith("error:")
-        assert message in result.stderr
-        assert "Traceback" not in result.output + result.stderr
-
-    result = run(*args, "--backend", "rational", input=poly_json(target))
-    assert result.exit_code == 0
-    assert json.loads(result.output)["residual"] <= 1e-9
+    for backend in ("float", "rational"):
+        result = run(*args, "--backend", backend, input=poly_json(target))
+        assert result.exit_code == 0, result.stderr
+        data = json.loads(result.output)
+        report = RealizationReport(
+            matrix=matrix_from_dict(data["matrix"]),
+            pattern=SignPattern.from_dict(data["pattern"]),
+            target=polynomial_from_dict(data["target"]),
+            residual=data["residual"],
+            perturbation=data["perturbation"],
+            block_orders=tuple(data["block_orders"]),
+            block_tags=tuple(data["block_tags"]),
+            backend=data["backend"],
+        )
+        assert report.target == target
+        assert report.residual <= 1e-9
+        assert verify_realization(report, 1e-9)
 
 
 def test_construction_failure_on_valid_input_exits_1():

@@ -262,6 +262,19 @@ def test_coefficient_residual():
         coefficient_residual(p, Polynomial((1, 1)))
 
 
+def test_results_beyond_the_double_range_name_what_overflowed():
+    # det(tI - M) = t^2 - 2e200 t + 1e400: the constant term is no double
+    m = FloatMatrix([[1e200, 0], [0, 1e200]])
+    with pytest.raises(OverflowError, match=r"t\^0 coefficient .* order-2 matrix"):
+        char_poly(m)
+    with pytest.raises(OverflowError, match="coefficient residual at order 2"):
+        _charpoly_residual(m, Polynomial((1.0, 0.0, 1.0)))
+    with pytest.raises(OverflowError, match="coefficient residual at order 1"):
+        coefficient_residual(Polynomial((10**400, 1)), Polynomial((0, 1)))
+    # the exact polynomial is still there on the rational backend
+    assert char_poly(m.lift()).coeffs[0] == Fraction(1e200) ** 2
+
+
 FACTORS = (
     Polynomial((1, 1, 1)),
     Polynomial((2, -1, 1)),

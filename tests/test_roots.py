@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import PROPERTY_SETTINGS, poly_from_real_roots, poly_from_root_spec
+from conftest import PROPERTY_SETTINGS, pl_gcd, pl_product, poly_from_real_roots, poly_from_root_spec
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,11 +18,14 @@ from signspectra import (
     coefficient_residual,
     find_roots,
     poly_mul,
+    char_poly,
     random_monic_polynomial,
     realize_even_sextic,
+    realize_inertia,
     refined_inertia_of,
     roots_to_quadratics,
 )
+from signspectra.roots import _SQUAREFREE_DEGREE_CAP, _squarefree_factors
 
 F_FACTORS = (
     Polynomial((1, 1, 1)),
@@ -89,6 +92,183 @@ def test_find_roots_multiplicities():
     p = poly_mul(Polynomial((1, 0, 1)), Polynomial((1, 0, 1)))
     rm = find_roots(p)
     assert_root_sets_match(rm.roots, [1j, 1j, -1j, -1j], tol=0)
+
+
+# Squarefree factors of the 95 inertia characteristic polynomials: ascending
+# coefficients of each monic factor, then its multiplicity.
+INERTIA_SQUAREFREE = {
+    (0, 8, 0, 0): "1 1 ^8",
+    (1, 7, 0, 0): "-1 1 ^1 | 2 1 ^3 | 1 1 ^4",
+    (2, 6, 0, 0): "-1 1 ^2 | 4 5 1 ^3",
+    (3, 5, 0, 0): "-1 1 ^3 | 1 1 ^5",
+    (4, 4, 0, 0): "-1 0 1 ^4",
+    (5, 3, 0, 0): "1 1 ^3 | -1 1 ^5",
+    (6, 2, 0, 0): "1 1 ^2 | 4 -5 1 ^3",
+    (7, 1, 0, 0): "1 1 ^1 | -2 1 ^3 | -1 1 ^4",
+    (8, 0, 0, 0): "-1 1 ^8",
+    (0, 7, 1, 0): "0 1 ^1 | 1 1 ^7",
+    (1, 6, 1, 0): "0 -1 1 ^1 | 2 3 1 ^3",
+    (2, 5, 1, 0): "0 1 ^1 | -1 0 1 ^2 | 4 1 ^3",
+    (3, 4, 1, 0): "0 1 ^1 | -1 1 ^3 | 1 1 ^4",
+    (4, 3, 1, 0): "0 1 ^1 | 1 1 ^3 | -1 1 ^4",
+    (5, 2, 1, 0): "0 1 ^1 | -1 0 1 ^2 | -4 1 ^3",
+    (6, 1, 1, 0): "0 1 1 ^1 | 2 -3 1 ^3",
+    (7, 0, 1, 0): "0 1 ^1 | -1 1 ^7",
+    (0, 6, 2, 0): "0 1 ^2 | 1 1 ^6",
+    (1, 5, 2, 0): "-1 1 ^1 | 0 1 1 ^2 | 2 1 ^3",
+    (2, 4, 2, 0): "1 1 ^1 | 0 -1 1 ^2 | 4 1 ^3",
+    (3, 3, 2, 0): "0 1 ^2 | -1 0 1 ^3",
+    (4, 2, 2, 0): "-1 1 ^1 | 0 1 1 ^2 | -4 1 ^3",
+    (5, 1, 2, 0): "1 1 ^1 | 0 -1 1 ^2 | -2 1 ^3",
+    (6, 0, 2, 0): "0 1 ^2 | -1 1 ^6",
+    (0, 5, 3, 0): "0 1 ^3 | 1 1 ^5",
+    (1, 4, 3, 0): "-1 0 1 ^1 | 0 2 1 ^3",
+    (2, 3, 3, 0): "-1 1 ^2 | 0 8 1 ^3",
+    (3, 2, 3, 0): "1 1 ^2 | 0 -8 1 ^3",
+    (4, 1, 3, 0): "-1 0 1 ^1 | 0 -2 1 ^3",
+    (5, 0, 3, 0): "0 1 ^3 | -1 1 ^5",
+    (0, 4, 4, 0): "0 1 1 ^4",
+    (1, 3, 4, 0): "-1 1 ^1 | 4 1 ^3 | 0 1 ^4",
+    (2, 2, 4, 0): "6 7 1 ^1 | -2 1 ^2 | 0 1 ^4",
+    (3, 1, 4, 0): "1 1 ^1 | -4 1 ^3 | 0 1 ^4",
+    (4, 0, 4, 0): "0 -1 1 ^4",
+    (0, 3, 5, 0): "1 1 ^3 | 0 1 ^5",
+    (1, 2, 5, 0): "-3 1 ^1 | 1 1 ^2 | 0 1 ^5",
+    (2, 1, 5, 0): "3 1 ^1 | -1 1 ^2 | 0 1 ^5",
+    (3, 0, 5, 0): "-1 1 ^3 | 0 1 ^5",
+    (0, 2, 6, 0): "1 1 ^2 | 0 1 ^6",
+    (1, 1, 6, 0): "-1 0 1 ^1 | 0 1 ^6",
+    (2, 0, 6, 0): "-1 1 ^2 | 0 1 ^6",
+    (0, 1, 7, 0): "1 1 ^1 | 0 1 ^7",
+    (1, 0, 7, 0): "-1 1 ^1 | 0 1 ^7",
+    (0, 0, 8, 0): "0 1 ^8",
+    (0, 6, 0, 1): "1 0 1 ^1 | 1 1 ^6",
+    (1, 5, 0, 1): "-1 1 -1 1 ^1 | 1 1 ^2 | 2 1 ^3",
+    (2, 4, 0, 1): "1 1 1 1 ^1 | -1 1 ^2 | 4 1 ^3",
+    (3, 3, 0, 1): "1 0 1 ^1 | -1 0 1 ^3",
+    (4, 2, 0, 1): "-1 1 -1 1 ^1 | 1 1 ^2 | -4 1 ^3",
+    (5, 1, 0, 1): "1 1 1 1 ^1 | -1 1 ^2 | -2 1 ^3",
+    (6, 0, 0, 1): "1 0 1 ^1 | -1 1 ^6",
+    (0, 5, 1, 1): "0 1 0 1 ^1 | 1 1 ^5",
+    (1, 4, 1, 1): "0 -1 0 0 0 1 ^1 | 2 1 ^3",
+    (2, 3, 1, 1): "0 1 0 1 ^1 | -1 1 ^2 | 8 1 ^3",
+    (3, 2, 1, 1): "0 1 0 1 ^1 | 1 1 ^2 | -8 1 ^3",
+    (4, 1, 1, 1): "0 -1 0 0 0 1 ^1 | -2 1 ^3",
+    (5, 0, 1, 1): "0 1 0 1 ^1 | -1 1 ^5",
+    (0, 4, 2, 1): "1 0 1 ^1 | 0 1 ^2 | 1 1 ^4",
+    (1, 3, 2, 1): "-1 1 -1 1 ^1 | 0 1 ^2 | 4 1 ^3",
+    (2, 2, 2, 1): "6 7 7 7 1 ^1 | 0 -2 1 ^2",
+    (3, 1, 2, 1): "1 1 1 1 ^1 | 0 1 ^2 | -4 1 ^3",
+    (4, 0, 2, 1): "1 0 1 ^1 | 0 1 ^2 | -1 1 ^4",
+    (0, 3, 3, 1): "1 0 1 ^1 | 0 1 1 ^3",
+    (1, 2, 3, 1): "-3 1 -3 1 ^1 | 1 1 ^2 | 0 1 ^3",
+    (2, 1, 3, 1): "3 1 3 1 ^1 | -1 1 ^2 | 0 1 ^3",
+    (3, 0, 3, 1): "1 0 1 ^1 | 0 -1 1 ^3",
+    (0, 2, 4, 1): "2 0 1 ^1 | 1 1 ^2 | 0 1 ^4",
+    (1, 1, 4, 1): "-2 0 1 0 1 ^1 | 0 1 ^4",
+    (2, 0, 4, 1): "2 0 1 ^1 | -1 1 ^2 | 0 1 ^4",
+    (0, 1, 5, 1): "2 2 1 1 ^1 | 0 1 ^5",
+    (1, 0, 5, 1): "-2 2 -1 1 ^1 | 0 1 ^5",
+    (0, 0, 6, 1): "2 0 1 ^1 | 0 1 ^6",
+    (0, 4, 0, 2): "1 0 1 ^2 | 1 1 ^4",
+    (1, 3, 0, 2): "-1 1 ^1 | 1 0 1 ^2 | 2 1 ^3",
+    (2, 2, 0, 2): "6 7 1 ^1 | -2 1 -2 1 ^2",
+    (3, 1, 0, 2): "1 1 ^1 | 1 0 1 ^2 | -2 1 ^3",
+    (4, 0, 0, 2): "1 0 1 ^2 | -1 1 ^4",
+    (0, 3, 1, 2): "0 1 ^1 | 1 0 1 ^2 | 1 1 ^3",
+    (1, 2, 1, 2): "0 -3 1 ^1 | 1 1 1 1 ^2",
+    (2, 1, 1, 2): "0 3 1 ^1 | -1 1 -1 1 ^2",
+    (3, 0, 1, 2): "0 1 ^1 | 1 0 1 ^2 | -1 1 ^3",
+    (0, 2, 2, 2): "6 0 5 0 1 ^1 | 0 1 1 ^2",
+    (1, 1, 2, 2): "-6 0 1 0 4 0 1 ^1 | 0 1 ^2",
+    (2, 0, 2, 2): "6 0 5 0 1 ^1 | 0 -1 1 ^2",
+    (0, 1, 3, 2): "6 6 5 5 1 1 ^1 | 0 1 ^3",
+    (1, 0, 3, 2): "-6 6 -5 5 -1 1 ^1 | 0 1 ^3",
+    (0, 0, 4, 2): "6 0 5 0 1 ^1 | 0 1 ^4",
+    (0, 2, 0, 3): "30 0 31 0 10 0 1 ^1 | 1 1 ^2",
+    (1, 1, 0, 3): "-30 0 -1 0 21 0 9 0 1 ^1",
+    (2, 0, 0, 3): "30 0 31 0 10 0 1 ^1 | -1 1 ^2",
+    (0, 1, 1, 3): "0 30 30 31 31 10 10 1 1 ^1",
+    (1, 0, 1, 3): "0 -30 30 -31 31 -10 10 -1 1 ^1",
+    (0, 0, 2, 3): "30 0 31 0 10 0 1 ^1 | 0 1 ^2",
+    (0, 0, 0, 4): "30 0 61 0 41 0 11 0 1 ^1",
+}
+
+
+def _split_as_text(p):
+    return " | ".join(
+        " ".join(str(c) for c in f.coeffs) + f" ^{k}" for f, k in _squarefree_factors(p)
+    )
+
+
+def test_squarefree_split_pinned_on_inertia_charpolys():
+    assert len(INERTIA_SQUAREFREE) == 95
+    for nu, expected in INERTIA_SQUAREFREE.items():
+        assert _split_as_text(char_poly(realize_inertia(nu))) == expected, nu
+
+
+def test_squarefree_split_edge_cases():
+    t8 = Polynomial((0,) * 8 + (1,))
+    assert _squarefree_factors(t8) == [(Polynomial((0, 1)), 8)]
+    # a squarefree input comes back as itself
+    p = f_degree8()
+    assert _squarefree_factors(p) == [(p, 1)]
+    # degree 32, the cap: split, so every multiple root is located exactly
+    factors = [
+        (Polynomial((Fraction(-1, 2), 1)), 1),
+        (Polynomial((2, 1)), 3),
+        (Polynomial((1, 0, 1)), 4),
+        (Polynomial((5, Fraction(1, 3), 1)), 10),
+    ]
+    p32 = Polynomial((1,))
+    for f, k in factors:
+        for _ in range(k):
+            p32 = poly_mul(p32, f)
+    assert p32.degree == _SQUAREFREE_DEGREE_CAP
+    assert _squarefree_factors(p32) == factors
+    roots = find_roots(p32).roots
+    assert roots.count(-2) == 3 and roots.count(1j) == 4 and roots.count(-1j) == 4
+
+
+@st.composite
+def _repeated_factor_product(draw):
+    # rational linear and quadratic factors with multiplicities 1-4, total
+    # degree at most 32; factors may coincide, share roots or be reducible
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    factors = []
+    degree = 0
+    for low, mult in draw(
+        st.lists(
+            st.tuples(st.lists(coeff, min_size=1, max_size=2), st.integers(1, 4)),
+            min_size=1,
+            max_size=10,
+        )
+    ):
+        f = low + [Fraction(1)]
+        if degree + (len(f) - 1) * mult <= 32:
+            factors += [f] * mult
+            degree += (len(f) - 1) * mult
+    return pl_product(factors)
+
+
+def _derivative(f):
+    return [k * f[k] for k in range(1, len(f))]
+
+
+@PROPERTY_SETTINGS
+@given(_repeated_factor_product())
+def test_squarefree_split_against_fraction_oracle(coeffs):
+    split = _squarefree_factors(Polynomial(tuple(coeffs)))
+    fs = [list(f.coeffs) for f, _ in split]
+    mults = [k for _, k in split]
+    assert mults == sorted(set(mults))
+    for f in fs:
+        assert len(f) >= 2 and f[-1] == 1
+        assert pl_gcd(f, _derivative(f)) == [1]
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            assert pl_gcd(fs[i], fs[j]) == [1]
+    assert pl_product([f for f, k in zip(fs, mults) for _ in range(k)]) == coeffs
 
 
 def test_find_roots_rational_exact_real_roots():
