@@ -13,9 +13,9 @@ block-diagonal engine splits an arbitrary monic target of degree 6t + 2d
 quadratics into degree-6 targets for the template, and routes the rest to 2x2
 blocks.  Finally, any refined inertia of total 8 is realized over diag(T, D).
 
-"Large enough" free parameters are fixed by explicit lower bounds that make
-every positivity condition provable; a doubling fallback re-verifies them
-anyway and fails loudly rather than silently accepting a bad parameter set.
+"Large enough" free parameters are fixed in one pass by explicit lower bounds
+that make every positivity condition provable.  A float parameter that rounding
+leaves nonpositive, or a realize_poly residual above 10*tol*degree, raises.
 """
 
 from __future__ import annotations
@@ -100,39 +100,44 @@ def violates_sextic_gate(p: Polynomial) -> bool:
 
     The exact identities of T force a3 and a5 to vanish together or to have a
     strictly positive ratio; anything else is unrealizable, and realize_sextic
-    realizes every sextic that meets the condition.
+    realizes every sextic that meets the condition.  Signs are compared, not a
+    quotient, so a float ratio cannot underflow into a false rejection.
     """
     if p.degree != 6:
         raise ValueError(f"expected degree 6, got {p.degree}")
     a3, a5 = p.coeffs[3], p.coeffs[5]
-    return a3 != 0 if a5 == 0 else a3 / a5 <= 0
+    return (a3 > 0) - (a3 < 0) != (a5 > 0) - (a5 < 0)
 
 
-def _sextic_params(a, x3, x1, x8_override):
-    a0, a1, a2, a3, a4, a5 = a[0], a[1], a[2], a[3], a[4], a[5]
-    one = x1 - x1 + 1
-    x2 = a5 + x1
+def _sextic_params(a, x3, one):
+    # margins formed directly so floats cannot cancel them below 1; over the
+    # rationals x2 = a5 + x1, x5 = k5 + x9, x6 = u + x8 and x7 = x1*x8 - w
+    a0, a1, a2, a4, a5 = a[0], a[1], a[2], a[4], a[5]
+    zero = one - one
+    s = _sqrt_upper(max(zero, x3 - a4))
+    x1 = one + abs(a5) + s
+    x2 = one + s + max(zero, 2 * a5)
     x4 = x1 * x1 + a5 * x1 + (a4 - x3)
     k5 = x3 * x3 - a4 * x3 + a2
-    x9 = one + max(k5 - k5, -k5)
-    x5 = k5 + x9
-    if x8_override is None:
-        x8 = max(one, one - (a1 + x1 * x5 + a5 * x9), (one + a0 - x9 * (x3 - a4)) / x1)
-    else:
-        x8 = x8_override
-    x6 = a1 + x1 * x5 + x8 + a5 * x9
-    x7 = -a0 + x1 * x8 + x9 * (x3 - a4)
+    x9 = one + max(zero, -k5)
+    x5 = one + max(zero, k5)
+    u = a1 + x1 * x5 + a5 * x9
+    w = a0 - x9 * (x3 - a4)
+    v = (one + w) / x1
+    x8 = max(one, one - u, v)
+    x6 = max(one, u + one, u + v)
+    x7 = max(one, x1 - w, x1 * (one - u) - w)
     return TemplateParams(x1, x2, x3, x4, x5, x6, x7, x8, x9)
 
 
-def realize_sextic(target: Polynomial, x8=None):
+def realize_sextic(target: Polynomial):
     """Matrix over pattern T matching a monic degree-6 target that passes the gate.
 
-    Exact on the rational backend.  The free parameter x3 is a3/a5, or 1 when
-    a3 = a5 = 0.  Raises GateError exactly when violates_sextic_gate holds;
-    such sextics admit no realization over T, so the gate is a hard boundary
-    rather than a numerical limitation.  The optional x8 replaces that free
-    parameter's computed bound; positivity is re-verified either way.
+    Exact on the rational backend.  x3 is a3/a5, or 1 when a3 = a5 = 0, and
+    the other eight follow in one closed-form pass.  Raises GateError exactly
+    when violates_sextic_gate holds: such sextics admit no realization over T.
+    A float parameter that rounding leaves nonpositive or non-finite (x3
+    underflow, x4 cancellation, overflow) raises ArithmeticError naming it.
     """
     if violates_sextic_gate(target):
         raise GateError(
@@ -140,20 +145,13 @@ def realize_sextic(target: Polynomial, x8=None):
             f"got a3 = {target.coeffs[3]}, a5 = {target.coeffs[5]}"
         )
     a = target.coeffs
-    backend = target.backend
-    one = _coerce(1, backend)
+    one = _coerce(1, target.backend)
     x3 = one if a[5] == 0 else a[3] / a[5]
-    x1 = one + abs(a[5]) + _sqrt_upper(max(one - one, x3 - a[4]))
-    x8_override = None if x8 is None else _coerce(x8, backend)
-    for _ in range(_MAX_DOUBLINGS):
-        params = _sextic_params(a, x3, x1, x8_override)
-        if params.all_positive():
-            return params, template_matrix(params)
-        x1 = x1 * 2
-    hint = "" if x8 is None else "; the supplied x8 may be below its bound"
-    raise ValueError(
-        f"no positive parameter assignment found after {_MAX_DOUBLINGS} doublings of x1{hint}"
-    )
+    params = _sextic_params(a, x3, one)
+    for k, x in enumerate(params.astuple(), start=1):
+        if not 0 < x < math.inf:
+            raise ArithmeticError(f"template parameter x{k} = {x} is not positive and finite")
+    return params, template_matrix(params)
 
 
 def _sextic_target(quads, backend: str) -> Polynomial:
@@ -164,14 +162,13 @@ def _sextic_target(quads, backend: str) -> Polynomial:
     return poly_mul(poly_mul(p0, p1), p2)
 
 
-def realize_even_sextic(b, c, d, backend: str = "rational", x8=None):
-    """Matrix over pattern T with characteristic polynomial (t²+b)(t²+c)(t²+d).
+def realize_even_sextic(b, c, d):
+    """Exact matrix over pattern T with characteristic polynomial (t²+b)(t²+c)(t²+d).
 
-    Total for all real b, c, d: the product has a3 = a5 = 0, so it passes the
-    gate and realize_sextic builds it (with x3 = 1).  Exact on the rational
-    backend; x8 is passed on to realize_sextic.
+    Total for all rational b, c, d: the product has a3 = a5 = 0, so it passes
+    the gate and realize_sextic builds it (with x3 = 1).
     """
-    return realize_sextic(_sextic_target([Quadratic(0, v) for v in (b, c, d)], backend), x8=x8)
+    return realize_sextic(_sextic_target([Quadratic(0, v) for v in (b, c, d)], "rational"))
 
 
 def realize_quadratic(p1, p0, backend: str = "rational"):
@@ -277,6 +274,11 @@ class RealizationReport:
         }
 
 
+def _residual_bound(tol: float, degree: int) -> float:
+    """The largest exact residual a float realization of a degree-n target may keep."""
+    return 10.0 * tol * degree
+
+
 def realize_poly(
     f: Polynomial,
     t: int,
@@ -297,11 +299,11 @@ def realize_poly(
     The residual is computed exactly: the output matrix's characteristic
     polynomial is taken on integers scaled from its entries and compared with
     the target's exact value before anything is rounded, so float
-    cancellation cannot hide a miss.  A realize_sextic failure on a selected
-    triple raises ArithmeticError.  arrangement
-    is "grouped" (template blocks first) or "alternating" (template and 2x2
-    blocks interleaved; needs t == d), which changes the conforming pattern
-    but not the spectrum.
+    cancellation cannot hide a miss.  A residual above 10*tol*degree, or a
+    template parameter that float rounding leaves nonpositive, raises
+    ArithmeticError.  arrangement is "grouped" (template blocks first) or
+    "alternating" (template and 2x2 blocks interleaved; needs t == d), which
+    changes the conforming pattern but not the spectrum.
     """
     if d < 5:
         raise ValueError("d must be at least 5")
@@ -325,14 +327,7 @@ def realize_poly(
         sel = select_triple(quads, eps_zero)
         quads = list(sel.rest)
         perturbation += sel.snapped
-        target = _sextic_target(sel.triple, backend)
-        try:
-            _, m6 = realize_sextic(target)
-        except ValueError as e:
-            # a sign-homogeneous triple passes the gate by construction, so
-            # this is the construction failing, not a bad input
-            raise ArithmeticError(str(e)) from e
-        t_blocks.append(m6)
+        t_blocks.append(realize_sextic(_sextic_target(sel.triple, backend))[1])
     d_blocks = [realize_quadratic(q.a, q.b, backend=backend) for q in quads]
 
     if arrangement == "grouped":
@@ -347,6 +342,8 @@ def realize_poly(
         raise ArithmeticError("constructed matrix does not conform; parameter bounds failed")
 
     residual = _charpoly_residual(matrix, f)
+    if residual > (bound := _residual_bound(tol, f.degree)):
+        raise ArithmeticError(f"exact residual {residual} exceeds the bound 10*tol*degree = {bound}")
     return RealizationReport(
         matrix=matrix,
         pattern=pattern,

@@ -22,7 +22,7 @@ from itertools import accumulate
 from .matrices import RationalMatrix, _rows_conform, block_diag, block_orders, conforms
 from .patterns import SignPattern, builtin_pattern, is_superpattern
 from .poly import Polynomial, _charpoly_int, _charpoly_residual, char_poly, divisors_degree6, poly_mul
-from .realize import realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
+from .realize import _residual_bound, realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
 from .roots import RefinedInertia, refined_inertia_of
 
 
@@ -405,7 +405,7 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
     superpattern_ok = is_superpattern(sprime, s) and extra == ((3, 1),)
     worst = 0.0
     realizations_ok = True
-    bound1 = 10.0 * config.tol * 16
+    bound1 = _residual_bound(config.tol, 16)
     for _ in range(config.poly_samples):
         f = random_monic_polynomial(16, rng)
         rep = realize_poly(f, 1, 5, tol=config.tol)

@@ -285,16 +285,16 @@ def test_float_quadratic_block_keeps_delta_at_extreme_scale():
 
 
 def test_construction_failure_on_valid_input_exits_1():
-    # float t^16 + 1e300: every quadratic lands in the zero class and float
-    # cancellation in x7 outlasts every doubling of x1; the input is valid, so
-    # this is a computation failure, not a usage error
+    # float t^16 + 1e300: the 2x2 blocks carry their determinants at the
+    # scale p0**2, so the exact residual misses 10 * tol * degree; the input is
+    # valid, so this is a computation failure, not a usage error
     blob = json.dumps({"coeffs": [1e300] + [0.0] * 15 + [1.0]})
     result = run("realize", "-", "--t", "1", "--d", "5", input=blob)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error:")
     assert result.stderr.count("\n") == 1
-    assert "no positive parameter assignment" in result.stderr
+    assert "exact residual" in result.stderr and "exceeds the bound" in result.stderr
     assert "--help" not in result.stderr
     assert "Traceback" not in result.output + result.stderr
 

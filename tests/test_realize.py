@@ -1,9 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import charpoly_by_cofactors
+from conftest import PROPERTY_SETTINGS, charpoly_by_cofactors
+from hypothesis import given
+from hypothesis import strategies as st
 
 from signspectra import (
     FloatMatrix,
@@ -32,6 +35,7 @@ from signspectra import (
     verify_realization,
     violates_sextic_gate,
 )
+from signspectra.poly import _charpoly_residual
 
 T = builtin_pattern("T")
 D = builtin_pattern("D")
@@ -88,29 +92,12 @@ def test_realize_even_sextic_negative_inputs():
     assert refined_inertia_of(m) == RefinedInertia(3, 3, 0, 0)
 
 
-def test_realize_even_sextic_x8_override_keeps_exactness():
-    default_params, default_m = realize_even_sextic(1, 2, 3)
-    params, m = realize_even_sextic(1, 2, 3, x8=default_params.x8 * 2)
-    assert params.x8 == default_params.x8 * 2
-    assert params.all_positive()
-    assert m.entries != default_m.entries
-    assert char_poly(m) == even_sextic_target(1, 2, 3)
-
-
-def test_realize_even_sextic_tiny_x8_triggers_rescue_doublings():
-    # a free parameter far below its bound forces the x1 doubling loop to
-    # compensate; the result must still be exact and positive
-    default_params, _ = realize_even_sextic(1, 2, 3)
-    params, m = realize_even_sextic(1, 2, 3, x8=Fraction(1, 10**6))
-    assert params.x1 > default_params.x1
-    assert params.all_positive()
-    assert char_poly(m) == even_sextic_target(1, 2, 3)
-
-
 def test_realize_even_sextic_float_backend():
-    params, m = realize_even_sextic(1, 2, 3, backend="float")
+    target = even_sextic_target(1, 2, 3).to_float()
+    params, m = realize_sextic(target)
     assert isinstance(m, FloatMatrix)
-    assert coefficient_residual(char_poly(m), even_sextic_target(1, 2, 3).to_float()) <= 1e-12
+    assert params.all_positive()
+    assert coefficient_residual(char_poly(m), target) <= 1e-12
 
 
 def test_realize_even_sextic_random_exact():
@@ -195,18 +182,73 @@ def test_realize_sextic_raises_exactly_on_the_gate():
             assert params.all_positive()
             assert conforms(m, T)
             assert char_poly(m) == target
+            # the one-pass margins equal the substituted closed forms exactly
+            a0, a1, a2, _, a4, a5 = coeffs
+            x1, x2, x3, _, x5, x6, x7, x8, x9 = params.astuple()
+            k5 = x3 * x3 - a4 * x3 + a2
+            u = a1 + x1 * x5 + a5 * x9
+            w = a0 - x9 * (x3 - a4)
+            assert x2 == a5 + x1
+            assert x5 == k5 + x9
+            assert x6 == u + x8
+            assert x7 == x1 * x8 - w
     assert 0 < rejected < 300
 
 
-def test_doubling_exhaustion_names_x8_only_when_supplied():
-    with pytest.raises(ValueError, match="supplied x8"):
-        realize_even_sextic(1, 2, 3, x8=-1)
-    # float cancellation in x7 at |coefficients| ~ 1e112, with no x8 supplied;
-    # realize_poly reports it as an internal failure of a gate-passing triple
+def test_extreme_float_target_misses_the_residual_bound():
+    # float t^16 + 1e300: every 2x2 block carries its determinant at the
+    # scale p0**2 ~ 1e75, so the exact residual misses 10 * tol * degree and
+    # realize_poly reports it as an internal failure of a valid input
     target = Polynomial((1e300,) + (0.0,) * 15 + (1.0,))
-    with pytest.raises(ArithmeticError, match="no positive parameter assignment") as info:
+    with pytest.raises(ArithmeticError, match="exceeds the bound 10\\*tol\\*degree"):
         realize_poly(target, 1, 5)
-    assert "x8" not in str(info.value)
+
+
+def test_realize_sextic_float_margins_survive_cancellation():
+    # x6 and x7 written as differences cancel below zero in floats on this
+    # sextic; the direct margins keep the rational x1 and a tiny residual
+    quads = ((1651.423, 841261.755), (1595.815, 660342.651), (1237.262, 958337.488))
+    target = product([Polynomial((b, a, 1.0)) for a, b in quads])
+    params, m = realize_sextic(target)
+    assert params.all_positive()
+    assert all(math.isfinite(x) for x in params.astuple())
+    assert params.x1 == 4485.5
+    assert conforms(m, T)
+    assert _charpoly_residual(m, target) <= 1e-13
+
+
+def test_gate_compares_signs_without_float_underflow():
+    # a3 / a5 = 1e-400 underflows to 0.0 in floats; the gate must still pass
+    # it, and the underflowed x3 is then a construction failure
+    target = Polynomial((1.0, 0, 0, 1e-200, 0, 1e200, 1.0))
+    assert not violates_sextic_gate(target)
+    assert not violates_sextic_gate(target.lift())
+    with pytest.raises(ArithmeticError, match="x3 = 0.0"):
+        realize_sextic(target)
+    params, m = realize_sextic(target.lift())
+    assert params.all_positive()
+    assert char_poly(m) == target.lift()
+
+
+_MAGNITUDE = st.floats(-3.0, 12.0).map(lambda e: 10.0**e)
+
+
+@PROPERTY_SETTINGS
+@given(
+    sign=st.sampled_from((-1.0, 0.0, 1.0)),
+    quads=st.lists(st.tuples(_MAGNITUDE, _MAGNITUDE), min_size=3, max_size=3),
+)
+def test_realize_sextic_float_sign_homogeneous_triples(sign, quads):
+    # a sign-homogeneous triple always passes the gate; on floats the result
+    # is a positive finite parameter set or an ArithmeticError, nothing else
+    target = product([Polynomial((b, sign * a, 1.0)) for a, b in quads])
+    assert not violates_sextic_gate(target)
+    try:
+        params, m = realize_sextic(target)
+    except ArithmeticError:
+        return
+    assert all(0 < x < math.inf for x in params.astuple())
+    assert conforms(m, T)
 
 
 def test_realize_sextic_random_exact():
@@ -381,6 +423,27 @@ def test_realize_poly_clustered_float_roots():
         bound = 10 * tol * f.degree
         assert report.residual <= bound
         assert verify_realization(report, bound)
+
+
+@PROPERTY_SETTINGS
+@given(
+    signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=8, max_size=8),
+    quads=st.lists(
+        st.tuples(st.floats(-3.0, 6.0), st.floats(-3.0, 6.0)), min_size=8, max_size=8
+    ),
+)
+def test_realize_poly_never_returns_a_miss(signs, quads):
+    # wide-range degree-16 float targets: a returned report is within the
+    # bound 10 * tol * degree and verifies at it; a miss is an ArithmeticError
+    tol = 1e-9
+    f = product([Polynomial((10.0**eb, s * 10.0**ea, 1.0)) for s, (ea, eb) in zip(signs, quads)])
+    try:
+        report = realize_poly(f, 1, 5, tol=tol)
+    except ArithmeticError:
+        return
+    bound = 10 * tol * f.degree
+    assert report.residual <= bound
+    assert verify_realization(report, bound)
 
 
 def test_realize_poly_validation():
