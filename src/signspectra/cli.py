@@ -10,6 +10,7 @@ construction that missed its own bounds) in any command prints one
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -38,8 +39,9 @@ def _load_poly(fh):
 
 
 def _check_tol(tol: float) -> None:
-    if tol <= 0:
-        raise click.UsageError("tolerance must be positive")
+    # inf would make every residual bound pass, and nan fails every comparison
+    if not (math.isfinite(tol) and tol > 0):
+        raise click.UsageError("tolerance must be positive and finite")
 
 
 class _Main(click.Group):

@@ -21,7 +21,16 @@ from itertools import accumulate
 
 from .matrices import RationalMatrix, _rows_conform, block_diag, block_orders, conforms
 from .patterns import SignPattern, builtin_pattern, is_superpattern
-from .poly import Polynomial, _charpoly_int, _charpoly_residual, char_poly, divisors_degree6, poly_mul
+from .poly import (
+    Polynomial,
+    _charpoly_int,
+    _charpoly_residual,
+    _descaled,
+    _over_common_denominator,
+    char_poly,
+    divisors_degree6,
+    poly_mul,
+)
 from .realize import _residual_bound, realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
 from .roots import RefinedInertia, refined_inertia_of
 
@@ -82,8 +91,10 @@ class IdentityCheckReport:
 
 def _identity_holds(which: str, a: list) -> bool:
     # a = L*M for a 6x6 rational M and an integer L > 0, so the char poly of a
-    # has C5 = L*a5 and C3 = L**3*a3, and both identities scale the same way
-    c = _charpoly_int(a, 6)
+    # has C5 = L*a5 and C3 = L**3*a3, and both identities scale the same way;
+    # only C3 and C5 are read, so the recursion stops after three steps
+    # (C5 = -tr a, then one product and one trace-only step for C3)
+    c = _charpoly_int(a, 6, 3)
     c3, c5 = c[3], c[5]
     head = a[0][0] + a[1][1]
     expected5 = -head
@@ -356,13 +367,23 @@ def _is_nilpotent_charpoly(m: RationalMatrix) -> bool:
     return all(c == 0 for c in cp.coeffs[:-1])
 
 
+def _unsplit_charpoly(m: RationalMatrix) -> Polynomial:
+    # the trace recursion on the whole scaled matrix, not cut at its diagonal
+    # blocks as char_poly is, so it does not assume the product rule it checks
+    n = m.n
+    flat, scale = _over_common_denominator([e for row in m.entries for e in row])
+    return _descaled(_charpoly_int([flat[i * n : (i + 1) * n] for i in range(n)], n), scale)
+
+
 def _nilpotence_lift_holds(rng: random.Random, rounds: int = 20) -> bool:
     """Block-diagonal nilpotence is equivalent to blockwise nilpotence.
 
     Checked directly on characteristic polynomials: a matrix is nilpotent
     exactly when its char poly is t**n.  The pool mixes nilpotent blocks
     (strictly triangular, and the all-zero even sextic realization) with
-    random dense ones.
+    random dense ones.  char_poly itself multiplies the polynomials of the
+    diagonal blocks, so the whole matrix's polynomial is also recomputed
+    without the split, and must agree with it.
     """
     _, nil6 = realize_even_sextic(0, 0, 0)
     nil2 = RationalMatrix.from_rows([[0, 1], [0, 0]])
@@ -377,7 +398,11 @@ def _nilpotence_lift_holds(rng: random.Random, rounds: int = 20) -> bool:
     for _ in range(rounds):
         a = rng.choice(pool)
         b = rng.choice(pool)
-        whole = _is_nilpotent_charpoly(block_diag([a, b]))
+        m = block_diag([a, b])
+        cp = char_poly(m)
+        if _unsplit_charpoly(m) != cp:
+            return False
+        whole = all(c == 0 for c in cp.coeffs[:-1])
         parts = _is_nilpotent_charpoly(a) and _is_nilpotent_charpoly(b)
         if whole != parts:
             return False

@@ -79,6 +79,28 @@ def test_realize_usage_errors():
     assert "tolerance must be positive" in result.stderr
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (("realize", "-", "--t", "1", "--d", "5"), poly_json(DEGREE16)),
+        (("inertia", "2", "2", "0", "2"), None),
+        (("factor", "-"), poly_json(DEGREE8)),
+        (("verify", "theorem", "--samples", "10"), None),
+    ],
+    ids=["realize", "inertia", "factor", "verify"],
+)
+def test_non_finite_tolerance_is_a_usage_error(args, stdin, tol):
+    # an infinite tolerance would pass any residual bound, and nan fails
+    # every comparison with a misleading message
+    result = run(*args, "--tol", tol, input=stdin)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "tolerance must be positive and finite" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert result.stdout == ""
+
+
 def test_realize_unattainable_tolerance_fails_cleanly():
     coeffs = [0.3, -1.2, 0.7, 2.0, -0.4, 1.1, -2.2, 0.9] + [0.1] * 8 + [1.0]
     blob = json.dumps({"coeffs": coeffs})

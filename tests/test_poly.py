@@ -19,7 +19,7 @@ from signspectra import (
     polynomial_from_dict,
     realize_even_sextic,
 )
-from signspectra.poly import _charpoly_residual
+from signspectra.poly import _charpoly_int, _charpoly_residual
 
 
 def test_polynomial_backends():
@@ -248,6 +248,31 @@ def test_charpoly_residual_equals_coefficient_residual():
     f = FloatMatrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError, match="degree mismatch"):
         _charpoly_residual(f, Polynomial((1.0, 1.0)))
+
+
+@st.composite
+def _int_matrix(draw):
+    # sparse integer matrices with small or huge entries
+    n = draw(st.integers(1, 9))
+    bound = draw(st.sampled_from([3, 10**6, 10**30]))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+def test_charpoly_int_truncated_recursion_matches_full():
+    @PROPERTY_SETTINGS
+    @given(_int_matrix())
+    def truncated_is_a_prefix(a):
+        n = len(a)
+        full = _charpoly_int(a, n)
+        for k in range(1, n + 1):
+            top = _charpoly_int(a, n, k)
+            assert top[n - k :] == full[n - k :]
+            assert top[: n - k] == [0] * (n - k)
+        if n <= 5:
+            assert Polynomial(tuple(full)) == charpoly_by_cofactors(RationalMatrix.from_rows(a))
+
+    truncated_is_a_prefix()
 
 
 def test_coefficient_residual():

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -64,12 +65,16 @@ def test_sample_conforming_matrix_respects_pattern():
 
 
 def test_check_identity_smoke():
-    for which, seed in (("T", 42), ("Tprime", 7)):
+    cases = [("T", 42), ("Tprime", 7)] + [(w, s) for w in ("T", "Tprime") for s in range(5)]
+    for which, seed in cases:
         report = check_identity(which, samples=200, seed=seed)
-        assert report.all_passed
-        assert report.first_failure is None
-        assert report.samples == 200
-        assert report.seed == seed
+        assert report.to_dict() == {
+            "pattern": builtin_pattern(which).to_dict(),
+            "samples": 200,
+            "seed": seed,
+            "all_passed": True,
+            "first_failure": None,
+        }
         json.dumps(report.to_dict())
 
 
@@ -131,6 +136,20 @@ def test_identity_terms_match_cofactor_expansion():
         assert cp.coeffs[3] != head * m[4, 5] * m[5, 4]
 
 
+def test_identity_check_separates_the_patterns():
+    # on Tprime draws, scaled to ints as check_identity scales them, the
+    # 3-cycle term changes c3, so T's identity must fail and Tprime's hold
+    verify = importlib.import_module("signspectra.verify")
+    pattern = builtin_pattern("Tprime")
+    rng = random.Random(5)
+    for _ in range(50):
+        pairs = verify._draw_conforming(pattern, rng)
+        scale = math.lcm(*(l for row in pairs for _, l in row))
+        a = [[k * (scale // l) for k, l in row] for row in pairs]
+        assert not verify._identity_holds("T", a)
+        assert verify._identity_holds("Tprime", a)
+
+
 def test_traceless_sample_is_never_nilpotent():
     # r11 = 1, r22 = -1 makes a5 vanish, but then the 3-cycle forces a3 != 0
     rows = [
@@ -163,6 +182,15 @@ def test_nilpotence_is_blockwise():
     assert char_poly(block_diag([nil6, nil2])) == Polynomial((0,) * 8 + (1,))
     cp = char_poly(block_diag([nil6, dense2]))
     assert any(c != 0 for c in cp.coeffs[:-1])
+
+
+def test_nilpotence_lift_does_not_trust_char_poly(monkeypatch):
+    # a char_poly that calls every matrix nilpotent agrees with itself
+    # blockwise; only the unsplit recomputation catches it
+    verify = importlib.import_module("signspectra.verify")
+    assert verify._nilpotence_lift_holds(random.Random(0))
+    monkeypatch.setattr(verify, "char_poly", lambda m: Polynomial((0,) * m.n + (1,)))
+    assert not verify._nilpotence_lift_holds(random.Random(0))
 
 
 # --- gate and divisor obstruction ----------------------------------------------
