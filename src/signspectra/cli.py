@@ -38,10 +38,14 @@ def _load_poly(fh):
         raise click.UsageError(f"invalid polynomial input: {e}")
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, below_one: bool = True) -> None:
     # inf would make every residual bound pass, and nan fails every comparison
     if not (math.isfinite(tol) and tol > 0):
         raise click.UsageError("tolerance must be positive and finite")
+    if below_one and tol >= 1:
+        raise click.UsageError(
+            "tolerance must be below 1: a backward error never exceeds 1, so any point would pass"
+        )
 
 
 class _Main(click.Group):
@@ -108,7 +112,8 @@ def inertia(n_plus, n_minus, n_zero, n_imag, tol, out):
     N_PLUS + N_MINUS + N_ZERO + 2*N_IMAG = 8.  Exits 1 when the refined
     inertia classified at --tol differs from the request.
     """
-    _check_tol(tol)
+    # a tol of 1 or more stays allowed: a wrong classification fails the echo
+    _check_tol(tol, below_one=False)
     nu = (n_plus, n_minus, n_zero, n_imag)
     total = n_plus + n_minus + n_zero + 2 * n_imag
     if any(x < 0 for x in nu):

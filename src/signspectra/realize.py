@@ -21,7 +21,7 @@ leaves nonpositive, or a realize_poly residual above 10*tol*degree, raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
@@ -30,6 +30,26 @@ from .poly import Polynomial, Quadratic, _charpoly_residual, _convolve, poly_mul
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
 
 _MAX_DOUBLINGS = 64
+
+
+def _jsonable(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+class _Report:
+    """JSON form shared by the report dataclasses: every field in declaration
+    order (nested reports and values through their own to_dict, tuples as
+    lists), then "passed" when the class defines it."""
+
+    def to_dict(self) -> dict:
+        data = {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+        if hasattr(self, "passed"):
+            data["passed"] = self.passed
+        return data
 
 
 class GateError(ValueError):
@@ -249,7 +269,7 @@ def select_triple(quads, eps_zero) -> TripleSelection:
 
 
 @dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(_Report):
     """A realized matrix together with the evidence that it hits its target."""
 
     matrix: object
@@ -260,18 +280,6 @@ class RealizationReport:
     block_orders: tuple
     block_tags: tuple
     backend: str
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.to_dict(),
-            "pattern": self.pattern.to_dict(),
-            "target": self.target.to_dict(),
-            "residual": self.residual,
-            "perturbation": self.perturbation,
-            "block_orders": list(self.block_orders),
-            "block_tags": list(self.block_tags),
-            "backend": self.backend,
-        }
 
 
 def _residual_bound(tol: float, degree: int) -> float:
@@ -301,7 +309,8 @@ def realize_poly(
     the target's exact value before anything is rounded, so float
     cancellation cannot hide a miss.  A residual above 10*tol*degree, or a
     template parameter that float rounding leaves nonpositive, raises
-    ArithmeticError.  arrangement is "grouped" (template blocks first) or
+    ArithmeticError.  tol must be below 1: a root's backward error is at most
+    1, so a larger tol would certify any point.  arrangement is "grouped" (template blocks first) or
     "alternating" (template and 2x2 blocks interleaved; needs t == d), which
     changes the conforming pattern but not the spectrum.
     """
@@ -317,6 +326,11 @@ def realize_poly(
         raise ValueError("alternating arrangement needs t == d")
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
+    if tol >= 1:
+        raise ValueError(
+            f"tol must be below 1, got {tol}: a backward error never exceeds 1, "
+            "so the root certificate and the residual bound would accept anything"
+        )
 
     quads = roots_to_quadratics(find_roots(f, tol=tol))
     eps_zero = zero_class_tol(quads, tol)
@@ -460,9 +474,6 @@ def realize_inertia(nu):
     total 2 and is one of seven cases, each matched by an explicit quadratic
     for the 2x2 block.
     """
-    nu = _as_inertia(nu)
-    if nu.order() != 8:
-        raise ValueError(f"refined inertia must have total 8, got {nu.order()}")
     mu, m6 = realize_subinertia(nu)
     delta = tuple(a - b for a, b in zip(nu, mu))
     if delta not in _DELTA_QUADS:

@@ -31,7 +31,7 @@ from .poly import (
     divisors_degree6,
     poly_mul,
 )
-from .realize import _residual_bound, realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
+from .realize import _Report, _residual_bound, realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
 from .roots import RefinedInertia, refined_inertia_of
 
 
@@ -70,7 +70,7 @@ def sample_conforming_matrix(pattern: SignPattern, rng: random.Random) -> Ration
 
 
 @dataclass(frozen=True)
-class IdentityCheckReport:
+class IdentityCheckReport(_Report):
     """Outcome of exact randomized identity checking over one pattern."""
 
     pattern: SignPattern
@@ -78,15 +78,6 @@ class IdentityCheckReport:
     seed: int
     all_passed: bool
     first_failure: RationalMatrix | None
-
-    def to_dict(self) -> dict:
-        return {
-            "pattern": self.pattern.to_dict(),
-            "samples": self.samples,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "first_failure": None if self.first_failure is None else self.first_failure.to_dict(),
-        }
 
 
 def _identity_holds(which: str, a: list) -> bool:
@@ -225,19 +216,17 @@ def verify_realization(report, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Seeds, tolerances and sample counts for the full verification suite."""
+    """Seed, part-1 tolerance and sample counts for the full verification suite."""
 
     seed: int = 0
     tol: float = 1e-9
     identity_samples: int = 1000
     poly_samples: int = 20
     chain_samples: int = 5
-    chain_tol: float = 1e-7
-    inertia_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
-class SuperpatternEvidence:
+class SuperpatternEvidence(_Report):
     """Part 1: the 16x16 pattern is spectrally arbitrary (sampled evidence),
     its one-entry superpattern is not (exact identity evidence)."""
 
@@ -260,23 +249,9 @@ class SuperpatternEvidence:
             and self.nilpotence_lift_ok
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "superpattern_ok": self.superpattern_ok,
-            "extra_positions": [list(p) for p in self.extra_positions],
-            "realization_count": self.realization_count,
-            "worst_residual": self.worst_residual,
-            "residual_bound": self.residual_bound,
-            "realizations_ok": self.realizations_ok,
-            "identity_report": self.identity_report.to_dict(),
-            "nilpotence_lift_ok": self.nilpotence_lift_ok,
-            "evidence_kind": self.evidence_kind,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class InertiaEvidence:
+class InertiaEvidence(_Report):
     """Part 2: every refined inertia of total 8 is realizable over diag(T, D),
     yet one specific degree-8 polynomial is not (exact divisor enumeration)."""
 
@@ -288,17 +263,9 @@ class InertiaEvidence:
     def passed(self) -> bool:
         return self.obstruction.passed and not self.inertia_failures
 
-    def to_dict(self) -> dict:
-        return {
-            "obstruction": self.obstruction.to_dict(),
-            "inertia_total": self.inertia_total,
-            "inertia_failures": [list(v) for v in self.inertia_failures],
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class ChainEvidence:
+class ChainEvidence(_Report):
     """Part 3: an 8-fold diagonal chain of the 8x8 pattern realizes sampled
     degree-64 targets while the single 8x8 link does not realize everything;
     which link first becomes spectrally arbitrary stays undecided."""
@@ -317,23 +284,9 @@ class ChainEvidence:
     def passed(self) -> bool:
         return self.base_not_arbitrary and self.pattern_matches_chain and self.realizations_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "base_not_arbitrary": self.base_not_arbitrary,
-            "chain_order": self.chain_order,
-            "pattern_matches_chain": self.pattern_matches_chain,
-            "realization_count": self.realization_count,
-            "worst_residual": self.worst_residual,
-            "residual_bound": self.residual_bound,
-            "realizations_ok": self.realizations_ok,
-            "undecided": list(self.undecided),
-            "evidence_kind": self.evidence_kind,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(_Report):
     """Aggregate of the three evidence parts."""
 
     part1: SuperpatternEvidence
@@ -343,14 +296,6 @@ class TheoremReport:
     @property
     def passed(self) -> bool:
         return self.part1.passed and self.part2.passed and self.part3.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "part1": self.part1.to_dict(),
-            "part2": self.part2.to_dict(),
-            "part3": self.part3.to_dict(),
-            "passed": self.passed,
-        }
 
 
 def _pattern_difference(sup: SignPattern, sub: SignPattern) -> tuple:
@@ -417,6 +362,13 @@ def _all_inertia_tuples(total: int = 8):
                 yield RefinedInertia(npos, rest - nz - npos, nz, ni)
 
 
+# fixed settings of parts 2 and 3: the inertia classification tolerance, and
+# the root tolerance and residual bound of the degree-64 chain realizations
+_INERTIA_TOL = 1e-6
+_CHAIN_TOL = 1e-7
+_CHAIN_BOUND = 1e-5
+
+
 def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
     """Run all three evidence parts and aggregate the results."""
     rng = random.Random(config.seed)
@@ -453,7 +405,7 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
     failures = []
     for nu in _all_inertia_tuples(8):
         m = realize_inertia(nu)
-        if refined_inertia_of(m, tol=config.inertia_tol) != nu:
+        if refined_inertia_of(m, tol=_INERTIA_TOL) != nu:
             failures.append(tuple(nu))
     part2 = InertiaEvidence(
         obstruction=check_divisor_obstruction(),
@@ -470,20 +422,19 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
     worst3 = 0.0
     ok3 = True
     matches = True
-    bound3 = 1e-5
     for _ in range(config.chain_samples):
         f = random_monic_polynomial(64, rng)
-        rep = realize_poly(f, 8, 8, tol=config.chain_tol, arrangement="alternating")
+        rep = realize_poly(f, 8, 8, tol=_CHAIN_TOL, arrangement="alternating")
         matches = matches and rep.pattern == chain and conforms(rep.matrix, chain)
         worst3 = max(worst3, rep.residual)
-        ok3 = ok3 and rep.residual <= bound3
+        ok3 = ok3 and rep.residual <= _CHAIN_BOUND
     part3 = ChainEvidence(
         base_not_arbitrary=part2.obstruction.passed,
         chain_order=chain.n,
         pattern_matches_chain=matches,
         realization_count=config.chain_samples,
         worst_residual=worst3,
-        residual_bound=bound3,
+        residual_bound=_CHAIN_BOUND,
         realizations_ok=ok3,
     )
     return TheoremReport(part1=part1, part2=part2, part3=part3)

@@ -101,6 +101,27 @@ def test_non_finite_tolerance_is_a_usage_error(args, stdin, tol):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("tol", ["1", "1e10"])
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (("realize", "-", "--t", "1", "--d", "5"), poly_json(DEGREE16)),
+        (("factor", "-"), poly_json(DEGREE8)),
+        (("verify", "theorem", "--samples", "10"), None),
+    ],
+    ids=["realize", "factor", "verify"],
+)
+def test_tolerance_of_one_or_more_is_a_usage_error(args, stdin, tol):
+    # a backward error never exceeds 1, so a root certificate at tol >= 1
+    # passes any point and the residual bound 10 * tol * degree any residual
+    result = run(*args, "--tol", tol, input=stdin)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "tolerance must be below 1" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert result.stdout == ""
+
+
 def test_realize_unattainable_tolerance_fails_cleanly():
     coeffs = [0.3, -1.2, 0.7, 2.0, -0.4, 1.1, -2.2, 0.9] + [0.1] * 8 + [1.0]
     blob = json.dumps({"coeffs": coeffs})

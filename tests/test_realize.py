@@ -463,11 +463,31 @@ def test_realize_poly_validation():
         realize_poly(f10, 0, 5, backend="decimal")
 
 
+def test_realize_poly_rejects_tolerance_of_one_or_more():
+    # a backward error never exceeds 1, so at tol >= 1 the root certificate
+    # passes any point and the bound 10 * tol * degree passes any residual
+    rng = random.Random(3)
+    f = Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(16)) + (1.0,))
+    for tol in (1.0, 1e10, math.inf):
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            realize_poly(f, 1, 5, tol=tol)
+
+
 def test_realize_poly_report_serializes():
     f = product([Polynomial((-1, 1))] * 5 + [Polynomial((2, 1))] * 5)
     report = realize_poly(f, 0, 5, backend="rational")
     blob = json.dumps(report.to_dict())
     data = json.loads(blob)
+    assert list(data) == [
+        "matrix",
+        "pattern",
+        "target",
+        "residual",
+        "perturbation",
+        "block_orders",
+        "block_tags",
+        "backend",
+    ]
     assert data["block_tags"] == ["D"] * 5
     assert data["residual"] == 0.0
     assert data["matrix"]["n"] == 10

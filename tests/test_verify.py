@@ -351,3 +351,36 @@ def test_run_theorem_suite_light():
     assert data["passed"] is True
     assert data["part2"]["inertia_total"] == 95
     assert data["part1"]["extra_positions"] == [[3, 1]]
+    assert list(data) == ["part1", "part2", "part3", "passed"]
+    assert list(data["part1"]) == [
+        "superpattern_ok",
+        "extra_positions",
+        "realization_count",
+        "worst_residual",
+        "residual_bound",
+        "realizations_ok",
+        "identity_report",
+        "nilpotence_lift_ok",
+        "evidence_kind",
+        "passed",
+    ]
+    assert list(data["part1"]["identity_report"]) == [
+        "pattern",
+        "samples",
+        "seed",
+        "all_passed",
+        "first_failure",
+    ]
+    assert list(data["part2"]) == ["obstruction", "inertia_total", "inertia_failures", "passed"]
+    assert list(data["part3"]) == [
+        "base_not_arbitrary",
+        "chain_order",
+        "pattern_matches_chain",
+        "realization_count",
+        "worst_residual",
+        "residual_bound",
+        "realizations_ok",
+        "undecided",
+        "evidence_kind",
+        "passed",
+    ]
