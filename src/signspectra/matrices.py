@@ -1,12 +1,17 @@
-"""Exact rational and double-precision square matrices, plus pattern conformance.
+"""Square arrays: rational and float matrices, the one direct sum, and conformance.
 
-Two deliberately small matrix types back the two arithmetic backends.  The
-rational type keeps every entry as a Fraction; the float type is the working
-representation for numeric pipelines.  Every finite double is a rational
-number, so both types have exact characteristic polynomials and residuals
-(computed in poly.py on integers scaled straight from the entries), and a
-float matrix lifts to the rational type without loss.  Conformance compares
-each entry's sign with the pattern's integer sign codes.
+One private frozen base, ``_Square``, holds a tuple of row tuples for the
+two matrix types here and for ``patterns.SignPattern``.  It converts and
+checks each row through the subclass's ``_row``, then checks once that the
+array is square of order at least 1.  ``block_diag`` is the package's only
+direct sum: it fills the off-diagonal blocks with the class's ``zero``.
+
+The rational type keeps every entry as a Fraction; the float type is the
+working representation for numeric pipelines.  Every finite double is a
+rational number, so both types have exact characteristic polynomials and
+residuals (computed in poly.py on integers scaled straight from the
+entries), and a float matrix lifts to the rational type without loss.
+Conformance compares each entry's sign with the pattern's integer sign codes.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .patterns import Sign, SignPattern, direct_sum
 
 
 def _as_fraction(value) -> Fraction:
@@ -31,32 +34,52 @@ def _as_fraction(value) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable square matrix with Fraction entries."""
+class _Square:
+    """Immutable n x n array of row tuples.
+
+    Subclasses set ``_noun`` (for shape errors), ``zero`` (the off-diagonal
+    filler of ``block_diag``) and ``_row``, which converts and checks one row
+    and returns it as a tuple.
+    """
 
     entries: tuple
 
+    _noun = "matrix"
+
     def __post_init__(self):
-        rows = tuple([tuple([_as_fraction(e) for e in row]) for row in self.entries])
+        rows = tuple([self._row(row) for row in self.entries])
         n = len(rows)
         if n == 0:
-            raise ValueError("matrix must have order at least 1")
+            raise ValueError(f"{self._noun} must have order at least 1")
         for row in rows:
             if len(row) != n:
-                raise ValueError("matrix must be square")
+                raise ValueError(f"{self._noun} must be square")
         object.__setattr__(self, "entries", rows)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        return cls(tuple([tuple(row) for row in rows]))
+    def from_rows(cls, rows: Sequence[Sequence]):
+        return cls(rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.entries!r})"
+
+
+class RationalMatrix(_Square):
+    """Immutable square matrix with Fraction entries."""
+
+    zero = Fraction(0)
+
+    @staticmethod
+    def _row(row) -> tuple:
+        return tuple([_as_fraction(e) for e in row])
 
     def lift(self) -> "RationalMatrix":
         """Already exact; returned unchanged, like Polynomial.lift()."""
@@ -72,43 +95,21 @@ class RationalMatrix:
             "entries": [[str(e) for e in row] for row in self.entries],
         }
 
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.entries!r})"
 
-
-@dataclass(frozen=True)
-class FloatMatrix:
+class FloatMatrix(_Square):
     """Immutable square matrix with finite float entries."""
 
-    entries: tuple
+    zero = 0.0
 
-    def __post_init__(self):
+    @staticmethod
+    def _row(row) -> tuple:
         # hot-path tuples are built from lists: a tuple built from a generator
         # is over-allocated and shrunk, and the shrunk tuples pile up on
         # CPython's per-size free lists, raising peak memory
-        rows = tuple([tuple([float(e) for e in row]) for row in self.entries])
-        n = len(rows)
-        if n == 0:
-            raise ValueError("matrix must have order at least 1")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for e in row:
-                if not math.isfinite(e):
-                    raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij) -> float:
-        i, j = ij
-        return self.entries[i][j]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "FloatMatrix":
-        return cls(tuple([tuple(row) for row in rows]))
+        row = tuple([float(e) for e in row])
+        if not all(map(math.isfinite, row)):
+            raise ValueError("matrix entries must be finite")
+        return row
 
     def lift(self) -> RationalMatrix:
         """Exact rational image; doubles are dyadic rationals so nothing is lost."""
@@ -118,9 +119,6 @@ class FloatMatrix:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "entries": [list(row) for row in self.entries]}
-
-    def __repr__(self) -> str:
-        return f"FloatMatrix({self.entries!r})"
 
 
 def parse_rational(value) -> Fraction:
@@ -177,11 +175,8 @@ def _rows_conform(rows, codes) -> bool:
     return True
 
 
-_ZEROS = {SignPattern: Sign.ZERO, RationalMatrix: Fraction(0), FloatMatrix: 0.0}
-
-
 def block_diag(blocks: Iterable):
-    """Direct sum of matrices, or of sign patterns, with zero off-diagonal blocks.
+    """Direct sum of square blocks of one type, zero filling the off-diagonal blocks.
 
     All blocks must be of the same type: RationalMatrix, FloatMatrix or
     SignPattern.
@@ -192,9 +187,16 @@ def block_diag(blocks: Iterable):
     first = type(blocks[0])
     if any(type(b) is not first for b in blocks):
         raise TypeError("all blocks must have the same type")
-    if first not in _ZEROS:
+    if not issubclass(first, _Square):
         raise TypeError(f"cannot build a block diagonal of {first.__name__}")
-    return direct_sum(blocks, _ZEROS[first])
+    n = sum(b.n for b in blocks)
+    rows = [[first.zero] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[offset + i][offset : offset + b.n] = row
+        offset += b.n
+    return first(rows)
 
 
 def block_orders(matrix) -> tuple:

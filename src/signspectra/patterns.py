@@ -1,17 +1,20 @@
 """Square sign patterns over {+, 0, -} and the built-in family used by the realizers.
 
 A sign pattern prescribes, entry by entry, whether a real matrix entry must be
-positive, zero, or negative.  The built-ins cover the parameterized 6x6
-template pattern, a 2x2 companion-style pattern, and their block-diagonal
-compositions up to arbitrary size.
+positive, zero, or negative.  ``SignPattern`` shares the square-array base of
+the matrix types in matrices.py, so one shape rule and one direct sum,
+``block_diag``, serve patterns and matrices alike.  The built-ins cover the
+parameterized 6x6 template pattern, a 2x2 companion-style pattern, and their
+block-diagonal compositions up to arbitrary size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
+
+from .matrices import _Square, block_diag
 
 
 class Sign(Enum):
@@ -41,32 +44,19 @@ class Sign(Enum):
         return f"Sign({self.value!r})"
 
 
-@dataclass(frozen=True)
-class SignPattern:
+class SignPattern(_Square):
     """Immutable n x n array of Sign values."""
 
-    entries: tuple
+    _noun = "sign pattern"
+    zero = Sign.ZERO
 
-    def __post_init__(self):
-        rows = tuple([tuple(row) for row in self.entries])
-        n = len(rows)
-        if n == 0:
-            raise ValueError("sign pattern must have order at least 1")
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("sign pattern must be square")
-            for s in row:
-                if not isinstance(s, Sign):
-                    raise TypeError(f"pattern entries must be Sign, got {type(s).__name__}")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij) -> Sign:
-        i, j = ij
-        return self.entries[i][j]
+    @staticmethod
+    def _row(row) -> tuple:
+        row = tuple(row)
+        for s in row:
+            if not isinstance(s, Sign):
+                raise TypeError(f"pattern entries must be Sign, got {type(s).__name__}")
+        return row
 
     @cached_property
     def _codes(self) -> tuple:
@@ -99,22 +89,6 @@ class SignPattern:
         return f"SignPattern.from_rows({self.to_rows()!r})"
 
 
-def direct_sum(blocks: Sequence, zero):
-    """Direct sum of square blocks of one type, zero filling the off-diagonal blocks.
-
-    Works for sign patterns and both matrix types: anything with ``n``,
-    row-tuple ``entries`` and a constructor that takes rows.
-    """
-    n = sum(b.n for b in blocks)
-    rows = [[zero] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b.entries):
-            rows[offset + i][offset : offset + b.n] = row
-        offset += b.n
-    return type(blocks[0])(rows)
-
-
 def is_superpattern(p: SignPattern, q: SignPattern) -> bool:
     """True when p agrees with q on every nonzero entry of q.
 
@@ -144,7 +118,7 @@ def composite_pattern(t: int, d: int) -> SignPattern:
     """Direct sum of t copies of the 6x6 template pattern and d 2x2 blocks, in that order."""
     if t < 0 or d < 0 or t + d == 0:
         raise ValueError("need t >= 0, d >= 0 and at least one block")
-    return direct_sum([_T] * t + [_D] * d, Sign.ZERO)
+    return block_diag([_T] * t + [_D] * d)
 
 
 def builtin_pattern(name: str, t: int | None = None, d: int | None = None) -> SignPattern:
@@ -168,16 +142,16 @@ def builtin_pattern(name: str, t: int | None = None, d: int | None = None) -> Si
 
 
 def _build_builtins() -> dict:
-    td = direct_sum([_T, _D], Sign.ZERO)
-    u2 = direct_sum([td, td], Sign.ZERO)
-    u3 = direct_sum([u2, u2], Sign.ZERO)
+    td = block_diag([_T, _D])
+    u2 = block_diag([td, td])
+    u3 = block_diag([u2, u2])
     return {
         "T": _T,
         "Tprime": _TPRIME,
         "D": _D,
         "X_template": _T,
-        "S": direct_sum([_T] + [_D] * 5, Sign.ZERO),
-        "Sprime": direct_sum([_TPRIME] + [_D] * 5, Sign.ZERO),
+        "S": block_diag([_T] + [_D] * 5),
+        "Sprime": block_diag([_TPRIME] + [_D] * 5),
         "TD": td,
         "U1": td,
         "U2": u2,

@@ -107,11 +107,21 @@ class Polynomial:
 
 
 def polynomial_from_dict(data: dict) -> Polynomial:
-    """Parse {"coeffs": [...]}; any string coefficient selects the rational backend."""
+    """Parse {"coeffs": [...]}; any string coefficient selects the rational
+    backend, and otherwise every coefficient is read as a float."""
     raw = data["coeffs"]
     if any(isinstance(c, str) for c in raw):
         return Polynomial(tuple(parse_rational(c) for c in raw))
-    return Polynomial(tuple(float(c) for c in raw))
+    return Polynomial(tuple(_as_float(i, c) for i, c in enumerate(raw)))
+
+
+def _as_float(i: int, c) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        raise ValueError(
+            f"coefficient {i} is too large for a float; a quoted string keeps the value exact"
+        ) from None
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:

@@ -216,13 +216,11 @@ def verify_realization(report, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Seed, part-1 tolerance and sample counts for the full verification suite."""
+    """Seed, part-1 tolerance and identity sample count for the full verification suite."""
 
     seed: int = 0
     tol: float = 1e-9
     identity_samples: int = 1000
-    poly_samples: int = 20
-    chain_samples: int = 5
 
 
 @dataclass(frozen=True)
@@ -362,8 +360,11 @@ def _all_inertia_tuples(total: int = 8):
                 yield RefinedInertia(npos, rest - nz - npos, nz, ni)
 
 
-# fixed settings of parts 2 and 3: the inertia classification tolerance, and
-# the root tolerance and residual bound of the degree-64 chain realizations
+# fixed settings of the suite: the part-1 and part-3 sample counts, the
+# inertia classification tolerance, and the root tolerance and residual bound
+# of the degree-64 chain realizations
+_POLY_SAMPLES = 20
+_CHAIN_SAMPLES = 5
 _INERTIA_TOL = 1e-6
 _CHAIN_TOL = 1e-7
 _CHAIN_BOUND = 1e-5
@@ -383,7 +384,7 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
     worst = 0.0
     realizations_ok = True
     bound1 = _residual_bound(config.tol, 16)
-    for _ in range(config.poly_samples):
+    for _ in range(_POLY_SAMPLES):
         f = random_monic_polynomial(16, rng)
         rep = realize_poly(f, 1, 5, tol=config.tol)
         ok = conforms(rep.matrix, s) and rep.residual <= bound1
@@ -393,7 +394,7 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
     part1 = SuperpatternEvidence(
         superpattern_ok=superpattern_ok,
         extra_positions=extra,
-        realization_count=config.poly_samples,
+        realization_count=_POLY_SAMPLES,
         worst_residual=worst,
         residual_bound=bound1,
         realizations_ok=realizations_ok,
@@ -422,7 +423,7 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
     worst3 = 0.0
     ok3 = True
     matches = True
-    for _ in range(config.chain_samples):
+    for _ in range(_CHAIN_SAMPLES):
         f = random_monic_polynomial(64, rng)
         rep = realize_poly(f, 8, 8, tol=_CHAIN_TOL, arrangement="alternating")
         matches = matches and rep.pattern == chain and conforms(rep.matrix, chain)
@@ -432,7 +433,7 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> TheoremReport:
         base_not_arbitrary=part2.obstruction.passed,
         chain_order=chain.n,
         pattern_matches_chain=matches,
-        realization_count=config.chain_samples,
+        realization_count=_CHAIN_SAMPLES,
         worst_residual=worst3,
         residual_bound=_CHAIN_BOUND,
         realizations_ok=ok3,

@@ -119,6 +119,22 @@ def test_block_diag_type_rules():
         block_diag([a, f])
     with pytest.raises(ValueError, match="at least one"):
         block_diag([])
+    with pytest.raises(TypeError, match="cannot build a block diagonal"):
+        block_diag([Polynomial((1,))])
+    with pytest.raises(TypeError, match="same type"):
+        block_diag([builtin_pattern("D"), FloatMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])])
+
+
+def test_square_array_reprs_and_equality():
+    r = RationalMatrix.from_rows([[1, "2/3"], [0, -4]])
+    f = FloatMatrix.from_rows([[1.5, 0], [2, -3]])
+    assert repr(r) == (
+        "RationalMatrix(((Fraction(1, 1), Fraction(2, 3)), (Fraction(0, 1), Fraction(-4, 1))))"
+    )
+    assert repr(f) == "FloatMatrix(((1.5, 0.0), (2.0, -3.0)))"
+    assert repr(builtin_pattern("D")) == "SignPattern.from_rows(['++', '--'])"
+    # equal entries on the two backends are still different matrices
+    assert RationalMatrix.from_rows([[1, 0], [2, -3]]) != FloatMatrix.from_rows([[1.0, 0.0], [2.0, -3.0]])
 
 
 def test_block_orders_finest_split():

@@ -81,6 +81,10 @@ def test_polynomial_from_dict():
         polynomial_from_dict({"coeffs": ["1/2", 0.25, "1"]})
     with pytest.raises(ValueError, match="zero denominator"):
         polynomial_from_dict({"coeffs": ["1/0", "1", "0", "1"]})
+    # an integer past the double range is bad float input; quoted, it is exact
+    with pytest.raises(ValueError, match="coefficient 0 is too large for a float; a quoted string"):
+        polynomial_from_dict({"coeffs": [10**400, 0, 1]})
+    assert polynomial_from_dict({"coeffs": [str(10**400), 0, 1]}).coeffs[0] == 10**400
     for p in (f, r):
         assert polynomial_from_dict(p.to_dict()) == p
 
