@@ -4,7 +4,8 @@ One private frozen base, ``_Square``, holds a tuple of row tuples for the
 two matrix types here and for ``patterns.SignPattern``.  It converts and
 checks each row through the subclass's ``_row``, then checks once that the
 array is square of order at least 1.  ``block_diag`` is the package's only
-direct sum: it fills the off-diagonal blocks with the class's ``zero``.
+direct sum: it fills the off-diagonal blocks with the class's ``zero`` and does
+not re-check the blocks, which were checked when they were built.
 
 The rational type keeps every entry as a Fraction; the float type is the
 working representation for numeric pipelines.  Every finite double is a
@@ -137,19 +138,36 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
+def _as_float(value, where: str) -> float:
+    # one JSON number on the float backend; where names it in the error
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{where} is too large for a float; a quoted string keeps the value exact"
+        ) from None
+
+
 def matrix_from_dict(data: dict):
     """Parse a matrix mapping; string entries select the rational backend.
 
     Entries may be JSON numbers (float backend) or strings like "3" or "-2/7"
     (rational backend).  A single string entry commits the whole matrix to the
     rational backend, in which case integer-valued numbers are accepted
-    exactly and non-integer numbers are rejected as ambiguous.
+    exactly and non-integer numbers are rejected as ambiguous.  On the float
+    backend an integer beyond the double range raises ValueError naming the
+    entry.
     """
     entries = data["entries"]
     if any(isinstance(e, str) for row in entries for e in row):
         matrix = RationalMatrix.from_rows([[parse_rational(e) for e in row] for row in entries])
     else:
-        matrix = FloatMatrix.from_rows(entries)
+        matrix = FloatMatrix.from_rows(
+            [
+                [_as_float(e, f"entry ({i}, {j})") for j, e in enumerate(row)]
+                for i, row in enumerate(entries)
+            ]
+        )
     if "n" in data and data["n"] != matrix.n:
         raise ValueError(f"declared order {data['n']} does not match {matrix.n} rows")
     return matrix
@@ -179,7 +197,9 @@ def block_diag(blocks: Iterable):
     """Direct sum of square blocks of one type, zero filling the off-diagonal blocks.
 
     All blocks must be of the same type: RationalMatrix, FloatMatrix or
-    SignPattern.
+    SignPattern.  The blocks are not re-checked: each was checked when it was
+    built and ``zero`` is the class's own valid entry, so the result equals
+    the one the checked constructor builds from the same dense rows.
     """
     blocks = list(blocks)
     if not blocks:
@@ -190,13 +210,14 @@ def block_diag(blocks: Iterable):
     if not issubclass(first, _Square):
         raise TypeError(f"cannot build a block diagonal of {first.__name__}")
     n = sum(b.n for b in blocks)
-    rows = [[first.zero] * n for _ in range(n)]
-    offset = 0
+    rows = []
     for b in blocks:
-        for i, row in enumerate(b.entries):
-            rows[offset + i][offset : offset + b.n] = row
-        offset += b.n
-    return first(rows)
+        left = (first.zero,) * len(rows)
+        right = (first.zero,) * (n - len(rows) - b.n)
+        rows += [left + row + right for row in b.entries]
+    result = object.__new__(first)
+    object.__setattr__(result, "entries", tuple(rows))
+    return result
 
 
 def block_orders(matrix) -> tuple:

@@ -1,13 +1,14 @@
 """Monic dense polynomials over Fraction or float, and characteristic polynomials.
 
 Characteristic polynomials follow the det(tI - M) convention, so they are
-always monic.  Every matrix, rational or float, takes one exact path: the
-matrix is split at its block-diagonal cuts, the entries of the diagonal blocks
-are scaled by their common denominator to Python ints straight from each
-entry's integer ratio (a double is a dyadic rational, so nothing is rounded),
-an integer trace recursion runs on each block, the block polynomials are
-multiplied by the same convolution as poly_mul, and the scale is divided out
-once at the end.
+always monic.  Every matrix, rational or float, takes one exact path from its
+diagonal blocks: the entries of the blocks are scaled by their common
+denominator to Python ints straight from each entry's integer ratio (a double
+is a dyadic rational, so nothing is rounded), an integer trace recursion runs
+on each block, the block polynomials are multiplied by the same convolution as
+poly_mul, and the scale is divided out once at the end.  char_poly and
+verify_realization find the blocks by scanning the dense matrix for its
+block-diagonal cuts; realize_poly passes the blocks it built.
 
 Residuals take the same exact route: realize_poly and verify_realization
 compare a matrix's scaled integer coefficients with the target's, over one
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .matrices import FloatMatrix, RationalMatrix, block_orders, parse_rational
+from .matrices import FloatMatrix, RationalMatrix, _as_float, block_orders, parse_rational
 
 _FLOAT_MONIC_SLACK = 1e-12
 
@@ -112,16 +113,7 @@ def polynomial_from_dict(data: dict) -> Polynomial:
     raw = data["coeffs"]
     if any(isinstance(c, str) for c in raw):
         return Polynomial(tuple(parse_rational(c) for c in raw))
-    return Polynomial(tuple(_as_float(i, c) for i, c in enumerate(raw)))
-
-
-def _as_float(i: int, c) -> float:
-    try:
-        return float(c)
-    except OverflowError:
-        raise ValueError(
-            f"coefficient {i} is too large for a float; a quoted string keeps the value exact"
-        ) from None
+    return Polynomial(tuple(_as_float(c, f"coefficient {i}") for i, c in enumerate(raw)))
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:
@@ -187,24 +179,29 @@ def _over_common_denominator(values) -> tuple:
     return [num * (den // d) for num, d in ratios], den
 
 
-def _charpoly_scaled(matrix) -> tuple:
-    """(c, scale) with det(tI - M) = sum_k c[k] * t**k / scale**(n-k), all ints.
+def _diagonal_blocks(matrix) -> list:
+    # the diagonal blocks of the matrix's finest block-diagonal split, as rows
+    cuts = [0, *accumulate(block_orders(matrix))]
+    return [[row[lo:hi] for row in matrix.entries[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
 
-    scale is the common denominator of the entries, taken straight from the
-    entries' integer ratios (a double is dyadic); c is the characteristic
-    polynomial of scale*M, the product of its diagonal blocks' polynomials.
+
+def _charpoly_scaled(blocks) -> tuple:
+    """(c, scale) with det(tI - M) = sum_k c[k] * t**k / scale**(n-k), all ints,
+    for the block-diagonal M with these diagonal blocks (each a row sequence).
+
+    scale is the common denominator of the block entries, taken straight from
+    their integer ratios (a double is dyadic); c is the characteristic
+    polynomial of scale*M, the product of its blocks' polynomials.  Entries
+    outside the blocks are zero and do not change the scale, so any split of
+    M into diagonal blocks gives the same (c, scale).
     """
-    orders = block_orders(matrix)
-    cuts = [0, *accumulate(orders)]
-    # entries outside the diagonal blocks are zero and do not change the scale
-    flat, scale = _over_common_denominator(
-        [e for lo, hi in zip(cuts, cuts[1:]) for row in matrix.entries[lo:hi] for e in row[lo:hi]]
-    )
+    flat, scale = _over_common_denominator([e for block in blocks for row in block for e in row])
     c = [1]
     pos = 0
-    for order in orders:
-        block = [flat[pos + i * order : pos + (i + 1) * order] for i in range(order)]
-        c = _convolve(c, _charpoly_int(block, order))
+    for block in blocks:
+        order = len(block)
+        rows = [flat[pos + i * order : pos + (i + 1) * order] for i in range(order)]
+        c = _convolve(c, _charpoly_int(rows, order))
         pos += order * order
     return c, scale
 
@@ -218,7 +215,7 @@ def char_poly(matrix) -> Polynomial:
     """
     if not isinstance(matrix, (RationalMatrix, FloatMatrix)):
         raise TypeError(f"expected a matrix, got {type(matrix).__name__}")
-    c, scale = _charpoly_scaled(matrix)
+    c, scale = _charpoly_scaled(_diagonal_blocks(matrix))
     n = matrix.n
     if isinstance(matrix, FloatMatrix):
         coeffs = []
@@ -258,9 +255,16 @@ def _charpoly_residual(matrix, target: Polynomial) -> float:
     characteristic polynomial first: exact, from the scaled ints."""
     if target.degree != matrix.n:
         raise ValueError(f"degree mismatch: {matrix.n} vs {target.degree}")
-    c, scale = _charpoly_scaled(matrix)
+    return _blocks_residual(_diagonal_blocks(matrix), target)
+
+
+def _blocks_residual(blocks, target: Polynomial) -> float:
+    # _charpoly_residual of the block-diagonal matrix with these diagonal
+    # blocks, whose orders add up to the target's degree
+    c, scale = _charpoly_scaled(blocks)
+    n = target.degree
     # over the one denominator scale**n, coefficient k is c[k] * scale**k
-    return _residual([ck * scale**k for k, ck in enumerate(c)], scale**matrix.n, target)
+    return _residual([ck * scale**k for k, ck in enumerate(c)], scale**n, target)
 
 
 def coefficient_residual(p: Polynomial, target: Polynomial) -> float:

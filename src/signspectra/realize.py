@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
 from .patterns import builtin_pattern
-from .poly import Polynomial, Quadratic, _charpoly_residual, _convolve, poly_mul
+from .poly import Polynomial, Quadratic, _blocks_residual, _convolve, poly_mul
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
 
 _MAX_DOUBLINGS = 64
@@ -304,12 +304,13 @@ def realize_poly(
     2x2 blocks.  At most one quadratic has a negative constant term and it
     always lands in a 2x2 block, which keeps the triple selection fed.
 
-    The residual is computed exactly: the output matrix's characteristic
-    polynomial is taken on integers scaled from its entries and compared with
-    the target's exact value before anything is rounded, so float
-    cancellation cannot hide a miss.  A residual above 10*tol*degree, or a
-    template parameter that float rounding leaves nonpositive, raises
-    ArithmeticError.  tol must be below 1: a root's backward error is at most
+    Conformance and the residual are checked on the blocks before the dense
+    matrix is assembled.  The residual is computed exactly: the product of the
+    blocks' characteristic polynomials is taken on integers scaled from their
+    entries and compared with the target's exact value before anything is
+    rounded, so float cancellation cannot hide a miss.  A residual above
+    10*tol*degree, or a template parameter that float rounding leaves
+    nonpositive, raises ArithmeticError.  tol must be below 1: a root's backward error is at most
     1, so a larger tol would certify any point.  arrangement is "grouped" (template blocks first) or
     "alternating" (template and 2x2 blocks interleaved; needs t == d), which
     changes the conforming pattern but not the spectrum.
@@ -350,17 +351,18 @@ def realize_poly(
     else:
         blocks = [b for pair in zip(t_blocks, d_blocks) for b in pair]
         tags = ["T", "D"] * t
-    matrix = block_diag(blocks)
-    pattern = block_diag([builtin_pattern(tag) for tag in tags])
-    if not conforms(matrix, pattern):
+    patterns = [builtin_pattern(tag) for tag in tags]
+    # block by block: block_diag fills the off-diagonal blocks of both the
+    # matrix and the pattern with zeros, so this is the dense check
+    if not all(map(conforms, blocks, patterns)):
         raise ArithmeticError("constructed matrix does not conform; parameter bounds failed")
 
-    residual = _charpoly_residual(matrix, f)
+    residual = _blocks_residual([b.entries for b in blocks], f)
     if residual > (bound := _residual_bound(tol, f.degree)):
         raise ArithmeticError(f"exact residual {residual} exceeds the bound 10*tol*degree = {bound}")
     return RealizationReport(
-        matrix=matrix,
-        pattern=pattern,
+        matrix=block_diag(blocks),
+        pattern=block_diag(patterns),
         target=f,
         residual=residual,
         perturbation=perturbation,

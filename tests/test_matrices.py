@@ -75,6 +75,11 @@ def test_matrix_from_dict_errors():
         matrix_from_dict({"n": 3, "entries": [[1.0]]})
     with pytest.raises(ValueError, match="zero denominator"):
         matrix_from_dict({"entries": [["1/0"]]})
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) is too large for a float; a quoted string"):
+        matrix_from_dict({"entries": [[1.0, 0.0], [10**400, 1.0]]})
+    exact = matrix_from_dict({"entries": [[1, 0], [str(10**400), 1]]})
+    assert isinstance(exact, RationalMatrix)
+    assert exact[1, 0] == 10**400
 
 
 def test_matrix_dict_round_trip():
@@ -110,6 +115,37 @@ def test_block_diag_matrices():
     fm = block_diag([fa, fa])
     assert isinstance(fm, FloatMatrix)
     assert fm[0, 1] == 0.0
+
+
+def test_block_diag_equals_the_checked_constructor():
+    # block_diag skips the constructor's checks; its result must not differ
+    r = RationalMatrix.from_rows([[1, "2/3"], ["-1/7", 0]])
+    f = FloatMatrix.from_rows([[0.5, -1.0], [2.0, 0.0]])
+    cases = (
+        [r, RationalMatrix.from_rows([[5]]), r],
+        [f, FloatMatrix.from_rows([[-3.0]]), f],
+        [builtin_pattern("T"), builtin_pattern("D")],
+        [builtin_pattern("U2"), builtin_pattern("U2")],
+    )
+    for blocks in cases:
+        cls = type(blocks[0])
+        n = sum(b.n for b in blocks)
+        rows = [[cls.zero] * n for _ in range(n)]
+        offset = 0
+        for b in blocks:
+            for i, row in enumerate(b.entries):
+                rows[offset + i][offset : offset + b.n] = row
+            offset += b.n
+        fast, checked = block_diag(blocks), cls(rows)
+        assert type(fast) is cls
+        assert fast == checked
+        assert hash(fast) == hash(checked)
+        assert repr(fast) == repr(checked)
+        assert fast.entries == checked.entries
+        assert all(type(row) is tuple for row in fast.entries)
+    # U3 is composed from U2 by block_diag; its sign codes match the checked pattern's
+    u3 = builtin_pattern("U3")
+    assert u3._codes == SignPattern(u3.entries)._codes
 
 
 def test_block_diag_type_rules():

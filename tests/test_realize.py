@@ -35,6 +35,7 @@ from signspectra import (
     verify_realization,
     violates_sextic_gate,
 )
+from signspectra import realize
 from signspectra.poly import _charpoly_residual
 
 T = builtin_pattern("T")
@@ -444,6 +445,45 @@ def test_realize_poly_never_returns_a_miss(signs, quads):
     bound = 10 * tol * f.degree
     assert report.residual <= bound
     assert verify_realization(report, bound)
+
+
+def test_realize_poly_residual_equals_the_dense_residual():
+    # the residual taken from the blocks is the dense scan's, as the same double
+    rng = random.Random(12)
+    cases = []
+    for _ in range(3):
+        f16 = Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(16)) + (1.0,))
+        f64 = Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(64)) + (1.0,))
+        exact = product([Polynomial((rng.randint(1, 9), rng.randint(-9, 9), 1)) for _ in range(8)])
+        cases += [
+            (f16, dict(t=1, d=5)),
+            (f64, dict(t=8, d=8, tol=1e-7, arrangement="alternating")),
+            (exact, dict(t=1, d=5, backend="rational")),
+        ]
+    for f, kwargs in cases:
+        report = realize_poly(f, **kwargs)
+        assert report.residual == _charpoly_residual(report.matrix, report.target)
+        assert verify_realization(report, report.residual)
+
+
+def test_realize_poly_checks_each_block_conforms(monkeypatch):
+    # a 2x2 block with one sign flipped fails the per-block check before the
+    # residual bound is reached
+    built = []
+
+    def flipped(p1, p0, backend="rational"):
+        block = realize_quadratic(p1, p0, backend=backend)
+        built.append(block)
+        if len(built) == 3:
+            (alpha, beta), row = block.entries
+            return type(block).from_rows([(alpha, -beta), row])
+        return block
+
+    monkeypatch.setattr(realize, "realize_quadratic", flipped)
+    f = product([Polynomial((k, 0, 1)) for k in range(1, 9)])
+    with pytest.raises(ArithmeticError, match="does not conform"):
+        realize_poly(f, 1, 5)
+    assert len(built) == 5
 
 
 def test_realize_poly_validation():
