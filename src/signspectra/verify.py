@@ -9,6 +9,13 @@ divisor, hence no realization over diag(T, D).  Sampled evidence: spectral
 arbitrariness is a universally quantified claim over an uncountable set, so
 the suite realizes batches of random targets and labels the evidence kind
 rather than overclaiming.
+
+A random conforming sample draws only at the pattern's nonzero entries, in
+row-major order: a numerator k, then a denominator l, each uniform in 1..100,
+and the entry is the pattern's sign times k/l.  Each number is drawn as
+``rng.randint(1, 100)`` draws it on CPython (``getrandbits(7)`` until the
+value is below 100, plus one), so a seed gives the same samples and leaves
+the same generator state as a loop of ``randint(1, 100)`` calls would.
 """
 
 from __future__ import annotations
@@ -40,33 +47,52 @@ def random_monic_polynomial(degree: int, rng: random.Random) -> Polynomial:
     return Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(degree)) + (1.0,))
 
 
-def _draw_conforming(pattern: SignPattern, rng: random.Random) -> list:
-    # rows of (k, l) int pairs, entry k/l: a nonzero entry draws k then l
-    # uniform in 1..100 and takes the pattern's sign on k; a zero entry is (0, 1)
-    rows = []
-    for codes in pattern._codes:
-        row = []
-        for s in codes:
-            if s:
-                k = rng.randint(1, 100)
-                row.append((s * k, rng.randint(1, 100)))
-            else:
-                row.append((0, 1))
-        rows.append(row)
-    return rows
+def _nonzero_codes(codes) -> list:
+    # (i, j, sign code) of every nonzero entry, row-major
+    return [(i, j, s) for i, row in enumerate(codes) for j, s in enumerate(row) if s]
 
 
-def _pairs_to_matrix(pairs: list) -> RationalMatrix:
-    return RationalMatrix.from_rows([[Fraction(k, l) for k, l in row] for row in pairs])
+def _draw(nonzeros: list, rng: random.Random) -> list:
+    # one (i, j, k, l) per nonzero entry, entry k/l: k then l uniform in
+    # 1..100 by randint(1, 100)'s own rejection loop, k taking the sign
+    bits = rng.getrandbits
+    draws = []
+    for i, j, s in nonzeros:
+        k = bits(7)
+        while k >= 100:
+            k = bits(7)
+        l = bits(7)
+        while l >= 100:
+            l = bits(7)
+        draws.append((i, j, s * (k + 1), l + 1))
+    return draws
+
+
+def _scaled_sample(n: int, draws: list) -> list:
+    # the n x n int matrix lcm(l) * (k/l): zero off the drawn entries
+    scale = math.lcm(*[d[3] for d in draws])
+    a = [[0] * n for _ in range(n)]
+    for i, j, k, l in draws:
+        a[i][j] = k * (scale // l)
+    return a
+
+
+def _sample_matrix(n: int, draws: list) -> RationalMatrix:
+    rows = [[0] * n for _ in range(n)]
+    for i, j, k, l in draws:
+        rows[i][j] = Fraction(k, l)
+    return RationalMatrix.from_rows(rows)
 
 
 def sample_conforming_matrix(pattern: SignPattern, rng: random.Random) -> RationalMatrix:
     """Random rational matrix conforming to the pattern.
 
-    Nonzero entries are +-k/l with k, l uniform in 1..100 and the sign taken
-    from the pattern; zero entries are exactly zero.
+    Only the nonzero entries draw, in row-major order: k, then l, each
+    uniform in 1..100, and the entry is the pattern's sign times k/l.  Zero
+    entries are exactly zero.  Each number consumes the same random stream
+    as ``rng.randint(1, 100)``.
     """
-    return _pairs_to_matrix(_draw_conforming(pattern, rng))
+    return _sample_matrix(pattern.n, _draw(_nonzero_codes(pattern._codes), rng))
 
 
 @dataclass(frozen=True)
@@ -107,20 +133,31 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     realizability gate's origin.  For pattern "Tprime" the t**3 coefficient
     gains the term -r12 * r23 * r31, so a3 and a5 can never both vanish: no
     conforming matrix is nilpotent.
+
+    The samples are the successive draws of ``sample_conforming_matrix``
+    from ``random.Random(seed)``: nonzero entries only, row-major, k then l
+    uniform in 1..100 on the stream of ``randint(1, 100)``.  Each is checked
+    as the integer matrix lcm(l) * (k/l), for conformance and for both
+    identities; the first failing sample is reported as drawn.  samples and
+    seed must be ints (not bools), so that the report names the run.
     """
     if which not in ("T", "Tprime"):
         raise ValueError(f'identity pattern must be "T" or "Tprime", got {which!r}')
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     pattern = builtin_pattern(which)
+    n, codes = pattern.n, pattern._codes
+    nonzeros = _nonzero_codes(codes)
     rng = random.Random(seed)
     first_failure = None
     for _ in range(samples):
-        pairs = _draw_conforming(pattern, rng)
-        scale = math.lcm(*(l for row in pairs for _, l in row))
-        a = [[k * (scale // l) for k, l in row] for row in pairs]
-        if not (_rows_conform(a, pattern._codes) and _identity_holds(which, a)):
-            first_failure = _pairs_to_matrix(pairs)
+        draws = _draw(nonzeros, rng)
+        a = _scaled_sample(n, draws)
+        if not (_rows_conform(a, codes) and _identity_holds(which, a)):
+            first_failure = _sample_matrix(n, draws)
             break
     return IdentityCheckReport(
         pattern=pattern,

@@ -113,11 +113,98 @@ def test_sample_conforming_matrix_pinned_draw():
     ]
 
 
+def randint_draw(pattern, rng):
+    # reference sampler: k then l by randint(1, 100) at each nonzero entry,
+    # row-major; returns the (signed k, l) pairs and the matrix they make
+    pairs = []
+    rows = [[Fraction(0)] * pattern.n for _ in range(pattern.n)]
+    for i in range(pattern.n):
+        for j in range(pattern.n):
+            s = pattern[i, j]
+            if s is not Sign.ZERO:
+                k = rng.randint(1, 100)
+                l = rng.randint(1, 100)
+                k = k if s is Sign.PLUS else -k
+                pairs.append((k, l))
+                rows[i][j] = Fraction(k, l)
+    return pairs, RationalMatrix.from_rows(rows)
+
+
+STREAM_PATTERNS = [builtin_pattern(w) for w in ("T", "Tprime", "S", "Sprime", "U3")] + [
+    builtin_pattern("V", t=4, d=6)
+]
+
+
+@pytest.mark.parametrize("pattern", STREAM_PATTERNS, ids=["T", "Tprime", "S", "Sprime", "U3", "V46"])
+def test_sampler_consumes_the_randint_stream(pattern):
+    # each draw equals the randint(1, 100) reference and leaves the generator
+    # in the same state; a changed bit width, rejection bound or draw order
+    # gives other numbers or another state
+    verify = importlib.import_module("signspectra.verify")
+    nonzeros = verify._nonzero_codes(pattern._codes)
+    for seed in (0, 1, 7, 2024, 2**40 + 3):
+        ref, mine, sampled = random.Random(seed), random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            pairs, matrix = randint_draw(pattern, ref)
+            draws = verify._draw(nonzeros, mine)
+            assert [(i, j) for i, j, _, _ in draws] == [(i, j) for i, j, _ in nonzeros]
+            assert [(k, l) for _, _, k, l in draws] == pairs
+            assert mine.getstate() == ref.getstate()
+            assert sample_conforming_matrix(pattern, sampled) == matrix
+            assert sampled.getstate() == ref.getstate()
+
+
+def test_check_identity_checks_the_sample_it_reports(monkeypatch):
+    # the integer matrix handed to both checks is lcm(l) times the entries of
+    # the sample_conforming_matrix draw of the same seed, on every sample
+    verify = importlib.import_module("signspectra.verify")
+    rows_conform = verify._rows_conform
+    for which in ("T", "Tprime"):
+        pattern = builtin_pattern(which)
+        for seed in (0, 3, 99):
+            conformed, checked = [], []
+
+            def record_conform(a, codes, conformed=conformed):
+                conformed.append(a)
+                return rows_conform(a, codes)
+
+            def record_identity(which_arg, a, checked=checked):
+                checked.append(a)
+                return True
+
+            monkeypatch.setattr(verify, "_rows_conform", record_conform)
+            monkeypatch.setattr(verify, "_identity_holds", record_identity)
+            assert check_identity(which, samples=6, seed=seed).all_passed
+            ref, sampled = random.Random(seed), random.Random(seed)
+            expected = []
+            for _ in range(6):
+                pairs, _ = randint_draw(pattern, ref)
+                scale = math.lcm(*(l for _, l in pairs))
+                m = sample_conforming_matrix(pattern, sampled)
+                expected.append([[scale * e for e in row] for row in m.entries])
+            assert checked == expected
+            assert conformed == checked
+            assert all(type(e) is int for a in checked for row in a for e in row)
+
+
 def test_check_identity_validation():
     with pytest.raises(ValueError, match='"T" or "Tprime"'):
         check_identity("D")
     with pytest.raises(ValueError, match="at least 1"):
         check_identity("T", samples=0)
+    # a report must name the run that produced it: no OS-entropy seed, no
+    # bool standing in for a count, no float the sample loop cannot take
+    for kwargs, name in (
+        ({"seed": None}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": "1"}, "seed"),
+        ({"samples": True}, "samples"),
+        ({"samples": 2.0}, "samples"),
+        ({"samples": None}, "samples"),
+    ):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            check_identity("T", **kwargs)
 
 
 def test_identity_terms_match_cofactor_expansion():
@@ -142,10 +229,9 @@ def test_identity_check_separates_the_patterns():
     verify = importlib.import_module("signspectra.verify")
     pattern = builtin_pattern("Tprime")
     rng = random.Random(5)
+    nonzeros = verify._nonzero_codes(pattern._codes)
     for _ in range(50):
-        pairs = verify._draw_conforming(pattern, rng)
-        scale = math.lcm(*(l for row in pairs for _, l in row))
-        a = [[k * (scale // l) for k, l in row] for row in pairs]
+        a = verify._scaled_sample(6, verify._draw(nonzeros, rng))
         assert not verify._identity_holds("T", a)
         assert verify._identity_holds("Tprime", a)
 
