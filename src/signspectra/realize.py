@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
 from .patterns import builtin_pattern
-from .poly import Polynomial, Quadratic, _blocks_residual, _convolve, poly_mul
+from .poly import Polynomial, Quadratic, _blocks_residual, _convolve
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
 
 _MAX_DOUBLINGS = 64
@@ -175,11 +175,11 @@ def realize_sextic(target: Polynomial):
 
 
 def _sextic_target(quads, backend: str) -> Polynomial:
-    # product of three monic quadratics t**2 + q.a*t + q.b on the backend
-    p0, p1, p2 = (
-        Quadratic(_coerce(q.a, backend), _coerce(q.b, backend)).to_polynomial() for q in quads
-    )
-    return poly_mul(poly_mul(p0, p1), p2)
+    # product of three monic quadratics t**2 + q.a*t + q.b on the backend:
+    # poly_mul's convolutions on the coerced coefficients, validated once
+    one = _coerce(1, backend)
+    p0, p1, p2 = ((_coerce(q.b, backend), _coerce(q.a, backend), one) for q in quads)
+    return Polynomial(tuple(_convolve(_convolve(p0, p1), p2)))
 
 
 def realize_even_sextic(b, c, d):

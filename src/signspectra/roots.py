@@ -14,10 +14,16 @@ Yun's algorithm (Yun, SYMSAC 1976) run on the primitive integer polynomial
 with the same roots: denominators are cleared once, gcds come from a primitive
 pseudo-remainder sequence, and every quotient is an exact integer division, so
 no Fraction arithmetic runs until the monic factors are formed.
+
+Conjugate closure has one rule, RootMultiset's, which find_roots applies once
+to the raw roots: near-real roots are snapped onto the axis, conjugate pairs
+are matched within tol and made exact, and a NaN or infinite root is rejected.
+A NaN backward error counts as the worst, so it fails the certificate.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,32 +51,46 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootMultiset:
-    """Roots with multiplicity (repeated entries), closed under conjugation.
+    """Roots with multiplicity (repeated entries), exactly closed under conjugation.
 
-    Entries with |Im| <= tol count as real; the remaining entries must split
-    into conjugate pairs, each matching within tol * (1 + |z|).
+    Every root must be finite.  A root with |Im| <= tol is stored on the real
+    axis; each root above the axis, in (Re, Im) order, takes the nearest
+    remaining conjugate of a root below it, which must lie within
+    tol * (1 + |z|), and the pair is stored as the exact conjugates of its
+    average.  Anything else raises ValueError.  Stored sorted by (Re, Im).
     """
 
     roots: tuple
     tol: float
 
     def __post_init__(self):
-        roots = tuple(sorted((complex(z) for z in self.roots), key=lambda z: (z.real, z.imag)))
-        object.__setattr__(self, "roots", roots)
-        upper = [z for z in roots if z.imag > self.tol]
-        lower = [z for z in roots if z.imag < -self.tol]
+        closed = []  # the real roots first, then the pairs
+        upper = []
+        lower = []
+        for z in map(complex, self.roots):
+            if not cmath.isfinite(z):
+                raise ValueError(f"root {z} is not finite")
+            if abs(z.imag) <= self.tol:
+                closed.append(complex(z.real))
+            elif z.imag > 0:
+                upper.append(z)
+            else:
+                lower.append(z)
         if len(upper) != len(lower):
-            raise ValueError("root multiset is not closed under conjugation")
-        remaining = list(lower)
-        for z in upper:
-            dist, j = min(
-                (abs(z - remaining[j].conjugate()), j) for j in range(len(remaining))
+            raise ValueError(
+                f"root multiset is not closed under conjugation: {len(upper)} above the axis, {len(lower)} below"
             )
+        upper.sort(key=lambda z: (z.real, z.imag))
+        for z in upper:
+            dist, j = min((abs(z - w.conjugate()), j) for j, w in enumerate(lower))
             if dist > self.tol * (1.0 + abs(z)):
                 raise ValueError(
                     f"root {z} has no conjugate partner within tolerance (closest at distance {dist:.3e})"
                 )
-            remaining.pop(j)
+            # the midpoint form cannot overflow, and an exact pair returns z itself
+            avg = z + 0.5 * (lower.pop(j).conjugate() - z)
+            closed += (avg, avg.conjugate())
+        object.__setattr__(self, "roots", tuple(sorted(closed, key=lambda z: (z.real, z.imag))))
 
     @property
     def n(self) -> int:
@@ -231,35 +251,6 @@ def _squarefree_factors(p: Polynomial) -> list:
     return out
 
 
-def _close_under_conjugation(roots: list, tol: float) -> list:
-    """Snap near-real roots and replace near-conjugate pairs by exact pairs."""
-    reals = []
-    upper = []
-    lower = []
-    for z in roots:
-        if abs(z.imag) <= tol:
-            reals.append(z.real)
-        elif z.imag > 0:
-            upper.append(z)
-        else:
-            lower.append(z)
-    if len(upper) != len(lower):
-        raise RootFindingError(
-            f"root set is not closed under conjugation: {len(upper)} roots above the axis, "
-            f"{len(lower)} below"
-        )
-    upper.sort(key=lambda z: (z.real, z.imag))
-    out = [complex(r) for r in reals]
-    remaining = list(lower)
-    for z in upper:
-        _, j = min((abs(z - remaining[j].conjugate()), j) for j in range(len(remaining)))
-        w = remaining.pop(j)
-        avg = (z + w.conjugate()) / 2.0
-        out.append(avg)
-        out.append(avg.conjugate())
-    return out
-
-
 def backward_error(coeffs: list, z: complex) -> float:
     """Smallest relative coefficient perturbation making z an exact root.
 
@@ -281,12 +272,12 @@ def backward_error(coeffs: list, z: complex) -> float:
 def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     """All complex roots of p with multiplicity, certified by residuals.
 
-    Every returned root z satisfies |p(z)| <= tol * sum_k |c_k| |z|^k in
-    double-precision evaluation, i.e. z is an exact root of some polynomial
-    whose coefficients differ relatively from p's by at most tol; otherwise
-    RootFindingError is raised.  The result is exactly closed under
-    conjugation: near-conjugate pairs are averaged, and roots with
-    |Im| <= tol are snapped onto the real axis.
+    The raw roots are closed under conjugation once, by RootMultiset's rule;
+    a root set it rejects raises RootFindingError.  Every returned root z
+    satisfies |p(z)| <= tol * sum_k |c_k| |z|^k in double-precision
+    evaluation, i.e. z is an exact root of some polynomial whose coefficients
+    differ relatively from p's by at most tol; otherwise RootFindingError is
+    raised with the worst backward error, NaN if an evaluation overflowed.
     """
     if p.degree < 1:
         raise ValueError("cannot extract roots of a constant polynomial")
@@ -298,16 +289,22 @@ def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     for factor, mult in factors:
         for r in _roots_of_coeffs(list(factor.coeffs)):
             roots.extend([r] * mult)
-    roots = _close_under_conjugation(roots, tol)
+    try:
+        rm = RootMultiset(tuple(roots), tol)
+    except ValueError as e:
+        raise RootFindingError(str(e)) from e
 
     fc = p.float_coeffs()
-    worst = max(backward_error(fc, z) for z in roots)
-    if not (worst <= tol):  # a NaN backward error fails the certificate too
+    # max() drops a NaN that is not first, so NaN is ranked above every number
+    worst = max(
+        (backward_error(fc, z) for z in rm.roots), key=lambda e: math.inf if math.isnan(e) else e
+    )
+    if not (worst <= tol):
         raise RootFindingError(
             f"residual certificate failed: worst backward error {worst:.3e} > {tol:.1e}",
             residual=worst,
         )
-    return RootMultiset(tuple(roots), tol)
+    return rm
 
 
 def roots_to_quadratics(multiset: RootMultiset) -> list:

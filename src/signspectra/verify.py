@@ -32,8 +32,8 @@ from .poly import (
     Polynomial,
     _charpoly_int,
     _charpoly_residual,
+    _charpoly_scaled,
     _descaled,
-    _over_common_denominator,
     char_poly,
     divisors_degree6,
     poly_mul,
@@ -348,11 +348,9 @@ def _is_nilpotent_charpoly(m: RationalMatrix) -> bool:
 
 
 def _unsplit_charpoly(m: RationalMatrix) -> Polynomial:
-    # the trace recursion on the whole scaled matrix, not cut at its diagonal
-    # blocks as char_poly is, so it does not assume the product rule it checks
-    n = m.n
-    flat, scale = _over_common_denominator([e for row in m.entries for e in row])
-    return _descaled(_charpoly_int([flat[i * n : (i + 1) * n] for i in range(n)], n), scale)
+    # the whole matrix as one uncut block, not cut at its diagonal blocks as
+    # char_poly is, so it does not assume the product rule it checks
+    return _descaled(*_charpoly_scaled([m.entries]))
 
 
 def _nilpotence_lift_holds(rng: random.Random, rounds: int = 20) -> bool:

@@ -280,6 +280,14 @@ def test_factor_usage_and_failure_paths():
     assert result.exit_code == 1
     assert "error:" in result.stderr
 
+    # t^2 (t^2 + 1e308): the closed-form roots overflow, and a non-finite
+    # root must not reach stdout as NaN or Infinity
+    result = run("factor", "-", input=json.dumps({"coeffs": [0, 0, 1e308, 0, 1]}))
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+    assert "NaN" not in result.output and "Infinity" not in result.output
+    assert "Traceback" not in result.output + result.stderr
+
 
 def test_factor_rational_quadratic_with_cancelling_roots():
     # t^2 + 1e8 t + 1: the small root -1e-8 needs the cancellation-free formula

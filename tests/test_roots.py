@@ -395,10 +395,24 @@ def test_non_finite_coefficients_rejected():
 
 def test_overflowing_evaluation_fails_certificate():
     # finite coefficients near the double maximum overflow the backward-error
-    # evaluation to NaN, which must fail the certificate rather than pass it
-    p = Polynomial((1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.0))
-    with pytest.raises(RootFindingError, match="certificate"):
-        find_roots(p, tol=1e-9)
+    # evaluation to NaN, which must fail the certificate rather than pass it,
+    # also when the NaN is not the first error (here the root 1e308 sorts last)
+    for p in (
+        Polynomial((1.7e308, 1.7e308, 1.7e308, 1.7e308, 1.0)),
+        Polynomial((0.0, 0.0, 1.0, 0.0, -1e308, 1.0)),
+    ):
+        with pytest.raises(RootFindingError, match="certificate") as err:
+            find_roots(p, tol=1e-9)
+        assert math.isnan(err.value.residual)
+    # the closed-form roots of t^2 + 1e308 overflow to +-inf*i, and the
+    # companion roots of t^2 - 1e308 t + 1e308 come back as 5e307+nanj twice:
+    # a non-finite root is rejected before any certificate
+    for p in (
+        Polynomial((0.0, 1e308, 0.0, 1.0)),
+        Polynomial((0.0, 0.0, 1e308, -1e308, 1.0)),
+    ):
+        with pytest.raises(RootFindingError, match="not finite"):
+            find_roots(p, tol=1e-9)
 
 
 def sample_separated_reals(rng, count, lo, hi, gap):
@@ -435,6 +449,14 @@ def test_root_multiset_validation():
         RootMultiset((1 + 1j, -1 - 1.5j), 1e-9)
     rm = RootMultiset((1 + 1j, 1 - 1j, 0.5), 1e-9)
     assert rm.n == 3
+    # a near-real root is stored on the axis, an inexact pair as the exact
+    # conjugates of its average, and the roots in (Re, Im) order
+    rm = RootMultiset((1 + 1j, 0.5 + 1e-12j, 1 - 1.0000000001j, -2), 1e-9)
+    assert rm.roots == (-2 + 0j, 0.5 + 0j, 1 - 1.00000000005j, 1 + 1.00000000005j)
+    assert rm.roots[1].imag == 0.0
+    assert rm.roots[2] == rm.roots[3].conjugate()
+    with pytest.raises(ValueError, match="not finite"):
+        RootMultiset((complex(math.nan, 1.0), complex(math.nan, -1.0)), 1e-9)
 
 
 def test_conjugate_closure_snaps_and_pairs():
