@@ -1,34 +1,28 @@
 """Command-line front end: realization, inertia construction, verification,
 factoring, and pattern lookup as subcommands with JSON input and output.
 
-Exit codes: 0 success, 1 verification or root-finding failure, 2 usage or
-precondition error.  A root-finding failure or an ArithmeticError (a
-construction that missed its own bounds) in any command prints one
-"error: ..." line on stderr, never a traceback.
+Every command body returns its JSON-ready dict and either None or a one-line
+failure message; one command class is the only boundary between those bodies
+and the terminal.  It adds --out to every command, prints the JSON, and maps
+failures to exit codes: 0 success; 1 a failed check, a root-finding failure
+or an ArithmeticError (a construction that missed its own bounds), each with
+one "error: ..." line on stderr; 2 a usage error, a ValueError (bad input or
+an unmet precondition), or an --out that cannot be opened.  No failure shows
+a traceback.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 
 import click
 
-from .patterns import BUILTIN_NAMES, builtin_pattern
+from .patterns import builtin_pattern
 from .poly import polynomial_from_dict
 from .realize import realize_inertia, realize_poly, select_triple, zero_class_tol
 from .roots import RootFindingError, find_roots, refined_inertia_of, roots_to_quadratics
 from .verify import SuiteConfig, check_divisor_obstruction, check_identity, run_theorem_suite
-
-
-def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
-    if out is None:
-        click.echo(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
 
 
 def _load_poly(fh):
@@ -48,16 +42,34 @@ def _check_tol(tol: float, below_one: bool = True) -> None:
         )
 
 
-class _Main(click.Group):
-    """Command group that turns a RootFindingError or ArithmeticError from any
-    command into exit 1."""
+class _Command(click.Command):
+    """A command whose callback returns (data, error): prints data as JSON to
+    stdout or --out, then exits 1 with one error line when error is set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        out = click.Option(["--out"], type=click.File("w", lazy=True), help="Write JSON here instead of stdout.")
+        self.params.append(out)
 
     def invoke(self, ctx):
+        # the lazy file opens at the write, so a command that fails first creates no file
+        out = ctx.params.pop("out")
         try:
-            return super().invoke(ctx)
+            data, error = super().invoke(ctx)
+            click.echo(json.dumps(data, indent=2), file=out)
+        except ValueError as e:
+            raise click.UsageError(str(e), ctx)
+        except click.FileError as e:
+            raise click.UsageError(e.format_message(), ctx)
         except (RootFindingError, ArithmeticError) as e:
-            click.echo(f"error: {e}", err=True)
+            error = str(e)
+        if error is not None:
+            click.echo(f"error: {error}", err=True)
             ctx.exit(1)
+
+
+class _Main(click.Group):
+    command_class = _Command
 
 
 @click.group(cls=_Main)
@@ -82,19 +94,14 @@ def main():
     show_default=True,
     help="Arithmetic for the constructed blocks.",
 )
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write JSON here instead of stdout.")
-def realize(poly, t, d, tol, backend, out):
+def realize(poly, t, d, tol, backend):
     """Realize a monic degree-(6T + 2D) polynomial over the composite pattern.
 
     POLY is a polynomial JSON file, or - for stdin.
     """
     _check_tol(tol)
     f = _load_poly(poly)
-    try:
-        rep = realize_poly(f, t, d, tol=tol, backend=backend)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    _emit(rep.to_dict(), out)
+    return realize_poly(f, t, d, tol=tol, backend=backend).to_dict(), None
 
 
 @main.command()
@@ -103,8 +110,7 @@ def realize(poly, t, d, tol, backend, out):
 @click.argument("n_zero", type=int)
 @click.argument("n_imag", type=int)
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Classification tolerance for the echo check.")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def inertia(n_plus, n_minus, n_zero, n_imag, tol, out):
+def inertia(n_plus, n_minus, n_zero, n_imag, tol):
     """Build an 8x8 matrix over diag(T, D) with the requested refined inertia.
 
     The four arguments count eigenvalues with positive real part, negative
@@ -122,17 +128,10 @@ def inertia(n_plus, n_minus, n_zero, n_imag, tol, out):
         raise click.UsageError(f"n_plus + n_minus + n_zero + 2*n_imag must equal 8, got {total}")
     matrix = realize_inertia(nu)
     classified = refined_inertia_of(matrix, tol=tol)
-    _emit(
-        {
-            "matrix": matrix.to_dict(),
-            "requested": list(nu),
-            "classified": list(classified),
-        },
-        out,
-    )
+    data = {"matrix": matrix.to_dict(), "requested": list(nu), "classified": list(classified)}
     if tuple(classified) != nu:
-        click.echo(f"error: classified inertia {list(classified)} differs from the request", err=True)
-        sys.exit(1)
+        return data, f"classified inertia {list(classified)} differs from the request"
+    return data, None
 
 
 @main.command()
@@ -140,8 +139,7 @@ def inertia(n_plus, n_minus, n_zero, n_imag, tol, out):
 @click.option("--samples", type=int, default=1000, show_default=True, help="Samples per identity check.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def verify(which, samples, seed, tol, out):
+def verify(which, samples, seed, tol):
     """Run exact certificates: coefficient identities, the divisor
     obstruction, or the full three-part suite.
 
@@ -151,30 +149,28 @@ def verify(which, samples, seed, tol, out):
     if samples < 1:
         raise click.UsageError("samples must be at least 1")
     result = {}
-    ok = True
+    passed = {}
     if which in ("identities", "all"):
         rt = check_identity("T", samples, seed)
         rtp = check_identity("Tprime", samples, seed)
         result["identities"] = {"T": rt.to_dict(), "Tprime": rtp.to_dict()}
-        ok = ok and rt.all_passed and rtp.all_passed
+        passed["identities"] = rt.all_passed and rtp.all_passed
     if which in ("divisors", "all"):
         obstruction = check_divisor_obstruction()
         result["divisors"] = obstruction.to_dict()
-        ok = ok and obstruction.passed
+        passed["divisors"] = obstruction.passed
     if which in ("theorem", "all"):
         suite = run_theorem_suite(SuiteConfig(seed=seed, tol=tol, identity_samples=samples))
         result["theorem"] = suite.to_dict()
-        ok = ok and suite.passed
-    _emit(result, out)
-    if not ok:
-        sys.exit(1)
+        passed["theorem"] = suite.passed
+    failed = [name for name, ok in passed.items() if not ok]
+    return result, f"failed checks: {', '.join(failed)}" if failed else None
 
 
 @main.command()
 @click.argument("poly", type=click.File("r"))
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def factor(poly, tol, out):
+def factor(poly, tol):
     """Split an even-degree monic polynomial into monic quadratics.
 
     When the degree is at least 16, also report the sign-homogeneous triple
@@ -184,11 +180,7 @@ def factor(poly, tol, out):
     f = _load_poly(poly)
     if f.degree < 2 or f.degree % 2:
         raise click.UsageError(f"degree must be even and at least 2, got {f.degree}")
-    try:
-        quads = roots_to_quadratics(find_roots(f, tol=tol))
-    except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+    quads = roots_to_quadratics(find_roots(f, tol=tol))
     data = {"quadratics": [{"a": float(q.a), "b": float(q.b)} for q in quads]}
     if f.degree >= 16:
         sel = select_triple(quads, zero_class_tol(quads, tol))
@@ -197,25 +189,20 @@ def factor(poly, tol, out):
             "quadratics": [{"a": float(q.a), "b": float(q.b)} for q in sel.triple],
             "snapped": sel.snapped,
         }
-    _emit(data, out)
+    return data, None
 
 
 @main.command()
 @click.argument("name")
 @click.option("--t", "t", type=int, default=None, help="Template block count (pattern V only).")
 @click.option("--d", "d", type=int, default=None, help="2x2 block count (pattern V only).")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def pattern(name, t, d, out):
+def pattern(name, t, d):
     """Print a built-in sign pattern as JSON.
 
     Known names: T, Tprime, D, X_template, S, Sprime, TD, U1, U2, U3, and V
     (which needs --t and --d).
     """
-    try:
-        p = builtin_pattern(name, t=t, d=d)
-    except ValueError as e:
-        raise click.UsageError(f"{e}; known names: {', '.join(BUILTIN_NAMES)}")
-    _emit(p.to_dict(), out)
+    return builtin_pattern(name, t=t, d=d).to_dict(), None
 
 
 if __name__ == "__main__":

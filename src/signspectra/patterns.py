@@ -138,7 +138,8 @@ def builtin_pattern(name: str, t: int | None = None, d: int | None = None) -> Si
     try:
         return _BUILTINS[name]
     except KeyError:
-        raise ValueError(f"unknown pattern name {name!r}") from None
+        known = ", ".join(BUILTIN_NAMES)
+        raise ValueError(f"unknown pattern name {name!r}; known names: {known}") from None
 
 
 def _build_builtins() -> dict:

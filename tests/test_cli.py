@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -423,6 +424,56 @@ def test_inertia_classification_matches_library():
     data = json.loads(result.output)
     assert RefinedInertia(*data["classified"]) == RefinedInertia(2, 4, 2, 0)
 
+
+
+# --- the command boundary -----------------------------------------------------
+
+
+def test_out_writes_exactly_what_stdout_shows(tmp_path):
+    commands = [
+        (("realize", "-", "--t", "1", "--d", "5"), poly_json(DEGREE16)),
+        (("inertia", "3", "3", "0", "1"), None),
+        (("verify", "divisors"), None),
+        (("factor", "-"), poly_json(DEGREE8)),
+        (("pattern", "U3"), None),
+    ]
+    out = tmp_path / "x.json"
+    for args, stdin in commands:
+        shown = run(*args, input=stdin)
+        assert shown.exit_code == 0, shown.stderr
+        written = run(*args, "--out", str(out), input=stdin)
+        assert written.exit_code == 0, written.stderr
+        assert written.stdout == ""
+        assert out.read_bytes() == shown.stdout_bytes
+
+    # an --out that cannot be opened is a usage error, not a traceback
+    missing = tmp_path / "missing" / "x.json"
+    result = run("pattern", "U3", "--out", str(missing))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    (line,) = [x for x in result.stderr.splitlines() if x.startswith("Error:")]
+    assert str(missing) in line
+    assert "Traceback" not in result.output + result.stderr
+    assert not missing.exists()
+
+    # a command that fails before its write creates no file
+    failed = tmp_path / "f.json"
+    blob = json.dumps({"coeffs": [1, 1, 0, 0, 1]})
+    result = run("factor", "-", "--tol", "1e-30", "--out", str(failed), input=blob)
+    assert result.exit_code == 1
+    assert "error:" in result.stderr
+    assert not failed.exists()
+
+
+def test_failed_verify_prints_its_json_then_one_error_line(monkeypatch):
+    report = dataclasses.replace(signspectra.check_divisor_obstruction(), passed=False)
+    monkeypatch.setattr("signspectra.cli.check_divisor_obstruction", lambda: report)
+    result = run("verify", "divisors")
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["divisors"]["passed"] is False
+    assert result.stderr.startswith("error:")
+    assert result.stderr.count("\n") == 1
+    assert "divisors" in result.stderr
 
 def test_module_entry_point_runs_commands():
     src = os.path.dirname(os.path.dirname(os.path.abspath(signspectra.__file__)))

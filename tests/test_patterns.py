@@ -121,8 +121,9 @@ def test_composite_pattern():
 
 
 def test_builtin_lookup_errors():
-    with pytest.raises(ValueError, match="unknown pattern"):
+    with pytest.raises(ValueError, match="unknown pattern") as err:
         builtin_pattern("Q")
+    assert "U3" in str(err.value)
     with pytest.raises(ValueError, match='requires both t and d'):
         builtin_pattern("V")
     with pytest.raises(ValueError, match="does not take"):
