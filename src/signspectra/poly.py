@@ -134,23 +134,20 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(tuple(_convolve(p.coeffs, q.coeffs)))
 
 
-def _charpoly_int(a: list, n: int, terms: int | None = None) -> list:
+def _charpoly_int(a: list, n: int) -> list:
     # Trace recursion over Python ints: M1 = A, c[n-1] = -tr M1,
     # Mk = A(Mk-1 + c[n-k+1] I), c[n-k] = -tr(Mk)/k.  The division by k is
-    # exact for integer input because the coefficients are integers.  With
-    # terms = k the recursion stops after step k: c[n-k..n] are exact and the
-    # lower entries stay 0 (None runs all n steps).  The last step reads only
-    # tr(Mk), so it takes the dot product of A with the shifted Mk-1 instead
-    # of forming the product.
-    last = n if terms is None else terms
+    # exact for integer input because the coefficients are integers.  The
+    # last step reads only tr(Mn), so it takes the dot product of A with the
+    # shifted Mn-1 instead of forming the product.
     c = [0] * (n + 1)
     c[n] = 1
     m = [row[:] for row in a]
     c[n - 1] = -sum(m[i][i] for i in range(n))
-    for k in range(2, last + 1):
+    for k in range(2, n + 1):
         for i in range(n):
             m[i][i] += c[n - k + 1]
-        if k == last:
+        if k == n:
             tr = sum(ail * m[l][i] for i, arow in enumerate(a) for l, ail in enumerate(arow) if ail)
         else:
             nxt = [[0] * n for _ in range(n)]

@@ -342,9 +342,9 @@ def roots_to_quadratics(multiset: RootMultiset) -> list:
             quads.append(Quadratic(-(r + s), r * s))
         if len(reals) % 2:
             leftovers.append(reals[-1])
+    # the non-real roots come in exact conjugate pairs and the total is even,
+    # so the real roots are even in number and 0 or 2 classes leave one over
     if leftovers:
-        if len(leftovers) != 2:
-            raise ValueError("real roots cannot be paired: odd counts in every sign class")
         r, s = leftovers
         quads.append(Quadratic(-(r + s), r * s))
     return quads

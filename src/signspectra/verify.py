@@ -5,10 +5,13 @@ the 6x6 patterns checked on exact random rational samples (a single failing
 sample would disprove an identity; exact agreement on a thousand generic
 points is treated as acceptance), and an exhaustive divisor enumeration
 showing one specific degree-8 polynomial admits no realizable degree-6
-divisor, hence no realization over diag(T, D).  Sampled evidence: spectral
-arbitrariness is a universally quantified claim over an uncountable set, so
-the suite realizes batches of random targets and labels the evidence kind
-rather than overclaiming.
+divisor, hence no realization over diag(T, D).  The identities read only the
+t**5 and t**3 coefficients, and compute them exactly from the power sums
+tr A, tr A² and tr A³ over the closed walks of each sample's own support, by
+Newton's identities: not from the trace recursion that builds and checks
+realizations.  Sampled evidence: spectral arbitrariness is a universally
+quantified claim over an uncountable set, so the suite realizes batches of
+random targets and labels the evidence kind rather than overclaiming.
 
 A random conforming sample draws only at the pattern's nonzero entries, in
 row-major order: a numerator k, then a denominator l, each uniform in 1..100,
@@ -20,6 +23,7 @@ the same generator state as a loop of ``randint(1, 100)`` calls would.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +34,6 @@ from .matrices import RationalMatrix, _rows_conform, block_diag, block_orders, c
 from .patterns import SignPattern, builtin_pattern, is_superpattern
 from .poly import (
     Polynomial,
-    _charpoly_int,
     _charpoly_residual,
     _charpoly_scaled,
     _descaled,
@@ -106,13 +109,42 @@ class IdentityCheckReport(_Report):
     first_failure: RationalMatrix | None
 
 
+@functools.lru_cache(maxsize=8)
+def _closed_walks(support: tuple) -> tuple:
+    # the closed walks of length 1, 2 and 3 of the digraph with an arc i -> j
+    # where support[i][j] is true, as index tuples (i,), (i, j), (i, j, k)
+    n = len(support)
+    arcs = [(i, j) for i in range(n) for j in range(n) if support[i][j]]
+    loops = tuple(i for i, j in arcs if i == j)
+    walks2 = tuple((i, j) for i, j in arcs if support[j][i])
+    walks3 = tuple((i, j, k) for i, j in arcs for k in range(n) if support[j][k] and support[k][i])
+    return loops, walks2, walks3
+
+
+def _walk_coefficients(a: list) -> tuple:
+    # (c[n-3], c[n-1]) of det(tI - a) for a square int matrix of order n >= 3,
+    # exact and without the trace recursion: p_k = tr a**k is a sum over the
+    # closed walks of length k in a's own support, and Newton's identities
+    # give e2 = (p1**2 - p2)/2 and e3 = (e2*p1 - p1*p2 + p3)/3, so
+    # c[n-1] = -p1 and c[n-3] = -e3.  Both divisions are exact because e2 and
+    # e3 are sums of principal minors of an integer matrix.
+    loops, walks2, walks3 = _closed_walks(tuple(tuple(map(bool, row)) for row in a))
+    p1 = sum(a[i][i] for i in loops)
+    p2 = sum(a[i][j] * a[j][i] for i, j in walks2)
+    p3 = sum(a[i][j] * a[j][k] * a[k][i] for i, j, k in walks3)
+    e2, r2 = divmod(p1 * p1 - p2, 2)
+    e3, r3 = divmod(e2 * p1 - p1 * p2 + p3, 3)
+    if r2 or r3:
+        raise ArithmeticError("power sums lost exactness on integer input")
+    return -e3, -p1
+
+
 def _identity_holds(which: str, a: list) -> bool:
     # a = L*M for a 6x6 rational M and an integer L > 0, so the char poly of a
     # has C5 = L*a5 and C3 = L**3*a3, and both identities scale the same way;
-    # only C3 and C5 are read, so the recursion stops after three steps
-    # (C5 = -tr a, then one product and one trace-only step for C3)
-    c = _charpoly_int(a, 6, 3)
-    c3, c5 = c[3], c[5]
+    # C3 and C5 come from the closed walks of a's support, so an entry outside
+    # the named pattern still counts
+    c3, c5 = _walk_coefficients(a)
     head = a[0][0] + a[1][1]
     expected5 = -head
     expected3 = head * a[4][5] * a[5][4]
@@ -138,8 +170,12 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     from ``random.Random(seed)``: nonzero entries only, row-major, k then l
     uniform in 1..100 on the stream of ``randint(1, 100)``.  Each is checked
     as the integer matrix lcm(l) * (k/l), for conformance and for both
-    identities; the first failing sample is reported as drawn.  samples and
-    seed must be ints (not bools), so that the report names the run.
+    identities; the first failing sample is reported as drawn.  The t**5 and
+    t**3 coefficients of each sample are computed exactly from tr A, tr A²
+    and tr A³, summed over the closed walks of the sample's own support, by
+    Newton's identities; this check shares no code with ``char_poly``'s
+    trace recursion.  samples and seed must be ints (not bools), so that the
+    report names the run.
     """
     if which not in ("T", "Tprime"):
         raise ValueError(f'identity pattern must be "T" or "Tprime", got {which!r}')

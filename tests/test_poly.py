@@ -20,6 +20,7 @@ from signspectra import (
     realize_even_sextic,
 )
 from signspectra.poly import _charpoly_int, _charpoly_residual
+from signspectra.verify import _walk_coefficients
 
 
 def test_polynomial_backends():
@@ -99,6 +100,12 @@ def test_poly_mul_known_products():
     assert poly_mul(p, Polynomial((1,))) == p
     with pytest.raises(ValueError, match="backend mismatch"):
         poly_mul(t2p1, Polynomial((1.0, 0.0, 1.0)))
+    # the * operator is poly_mul on either backend
+    for q, r in ((t2p1, p), (t2p1.to_float(), p.to_float())):
+        assert q * r == poly_mul(q, r)
+        assert (q * r).backend == q.backend
+    with pytest.raises(ValueError, match="backend mismatch"):
+        t2p1 * Polynomial((1.0, 0.0, 1.0))
 
 
 def test_char_poly_small_cases():
@@ -255,28 +262,38 @@ def test_charpoly_residual_equals_coefficient_residual():
 
 
 @st.composite
-def _int_matrix(draw):
+def _int_matrix(draw, min_order=1):
     # sparse integer matrices with small or huge entries
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(min_order, 9))
     bound = draw(st.sampled_from([3, 10**6, 10**30]))
     entry = st.one_of(st.just(0), st.integers(-bound, bound))
     return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
 
 
-def test_charpoly_int_truncated_recursion_matches_full():
+def test_charpoly_int_matches_cofactor_expansion():
     @PROPERTY_SETTINGS
     @given(_int_matrix())
-    def truncated_is_a_prefix(a):
+    def matches_cofactors(a):
         n = len(a)
-        full = _charpoly_int(a, n)
-        for k in range(1, n + 1):
-            top = _charpoly_int(a, n, k)
-            assert top[n - k :] == full[n - k :]
-            assert top[: n - k] == [0] * (n - k)
         if n <= 5:
+            full = _charpoly_int(a, n)
             assert Polynomial(tuple(full)) == charpoly_by_cofactors(RationalMatrix.from_rows(a))
 
-    truncated_is_a_prefix()
+    matches_cofactors()
+
+
+def test_walk_coefficients_match_charpoly_int():
+    # the identity check's closed-walk power sums give the same t**(n-1) and
+    # t**(n-3) coefficients as the full trace recursion, on random supports
+    # that no built-in pattern has as well as on the patterns' own
+    @PROPERTY_SETTINGS
+    @given(_int_matrix(min_order=3))
+    def same_coefficients(a):
+        n = len(a)
+        full = _charpoly_int(a, n)
+        assert _walk_coefficients(a) == (full[n - 3], full[n - 1])
+
+    same_coefficients()
 
 
 def test_coefficient_residual():

@@ -236,6 +236,19 @@ def test_identity_check_separates_the_patterns():
         assert verify._identity_holds("Tprime", a)
 
 
+def test_identity_reads_the_sample_support_not_the_named_pattern():
+    # one extra nonzero at (3, 1) on a T sample closes the 3-cycle 1 -> 2 -> 3,
+    # whose term T's identity lacks: the check must see the entry even though
+    # the named pattern has no arc there
+    verify = importlib.import_module("signspectra.verify")
+    nonzeros = verify._nonzero_codes(builtin_pattern("T")._codes)
+    a = verify._scaled_sample(6, verify._draw(nonzeros, random.Random(3)))
+    assert verify._identity_holds("T", a)
+    a[2][0] = 1
+    assert not verify._identity_holds("T", a)
+    assert verify._identity_holds("Tprime", a)
+
+
 def test_traceless_sample_is_never_nilpotent():
     # r11 = 1, r22 = -1 makes a5 vanish, but then the 3-cycle forces a3 != 0
     rows = [
