@@ -5,15 +5,17 @@ always monic.  Every matrix, rational or float, takes one exact path from its
 diagonal blocks: the entries of the blocks are scaled by their common
 denominator to Python ints straight from each entry's integer ratio (a double
 is a dyadic rational, so nothing is rounded), an integer trace recursion runs
-on each block, the block polynomials are multiplied by the same convolution as
-poly_mul, and the scale is divided out once at the end.  char_poly and
-verify_realization find the blocks by scanning the dense matrix for its
-block-diagonal cuts; realize_poly passes the blocks it built.
+on each block, and the block polynomials are multiplied by the same
+convolution as poly_mul.  char_poly and verify_realization find the blocks by
+scanning the dense matrix for its block-diagonal cuts; realize_poly passes the
+blocks it built.
 
-Residuals take the same exact route: realize_poly and verify_realization
-compare a matrix's scaled integer coefficients with the target's, over one
-common denominator, and round the quotient once; coefficient_residual applies
-the same formula to two polynomials.  No Fraction matrix is built.
+Exact coefficients have one scaled-integer form, (nums, den): coefficient k
+is nums[k] / den, all ints.  The characteristic polynomial comes out in it,
+and so does any polynomial put over its common denominator.  Residuals
+compare two such forms over one denominator and round the quotient once;
+char_poly divides each coefficient out once at the end.  No Fraction matrix
+is built.
 """
 
 from __future__ import annotations
@@ -183,14 +185,16 @@ def _diagonal_blocks(matrix) -> list:
 
 
 def _charpoly_scaled(blocks) -> tuple:
-    """(c, scale) with det(tI - M) = sum_k c[k] * t**k / scale**(n-k), all ints,
-    for the block-diagonal M with these diagonal blocks (each a row sequence).
+    """(nums, den) with det(tI - M) = sum_k nums[k] / den * t**k, all ints,
+    for the block-diagonal M of order n with these diagonal blocks (each a
+    row sequence).
 
-    scale is the common denominator of the block entries, taken straight from
-    their integer ratios (a double is dyadic); c is the characteristic
-    polynomial of scale*M, the product of its blocks' polynomials.  Entries
-    outside the blocks are zero and do not change the scale, so any split of
-    M into diagonal blocks gives the same (c, scale).
+    With scale the common denominator of the block entries, taken straight
+    from their integer ratios (a double is dyadic), and c the characteristic
+    polynomial of scale*M (the product of its blocks' polynomials),
+    nums[k] = c[k] * scale**k and den = scale**n.  Entries outside the blocks
+    are zero and do not change the scale, so any split of M into diagonal
+    blocks gives the same (nums, den).
     """
     flat, scale = _over_common_denominator([e for block in blocks for row in block for e in row])
     c = [1]
@@ -200,7 +204,7 @@ def _charpoly_scaled(blocks) -> tuple:
         rows = [flat[pos + i * order : pos + (i + 1) * order] for i in range(order)]
         c = _convolve(c, _charpoly_int(rows, order))
         pos += order * order
-    return c, scale
+    return [ck * scale**k for k, ck in enumerate(c)], scale ** (len(c) - 1)
 
 
 def char_poly(matrix) -> Polynomial:
@@ -212,31 +216,31 @@ def char_poly(matrix) -> Polynomial:
     """
     if not isinstance(matrix, (RationalMatrix, FloatMatrix)):
         raise TypeError(f"expected a matrix, got {type(matrix).__name__}")
-    c, scale = _charpoly_scaled(_diagonal_blocks(matrix))
-    n = matrix.n
+    nums, den = _charpoly_scaled(_diagonal_blocks(matrix))
     if isinstance(matrix, FloatMatrix):
         coeffs = []
-        for k in range(n + 1):
+        for k, nk in enumerate(nums):
             try:
-                coeffs.append(c[k] / scale ** (n - k))
+                coeffs.append(nk / den)
             except OverflowError:
                 raise OverflowError(
                     f"the t^{k} coefficient of the characteristic polynomial of an "
-                    f"order-{n} matrix lies beyond the double range"
+                    f"order-{matrix.n} matrix lies beyond the double range"
                 ) from None
         return Polynomial(tuple(coeffs))
-    return _descaled(c, scale)
+    return _descaled(nums, den)
 
 
-def _descaled(c: list, scale: int) -> Polynomial:
-    # sum_k c[k] * t**k / scale**(n-k) as an exact rational polynomial
-    n = len(c) - 1
-    return Polynomial(tuple(Fraction(c[k], scale ** (n - k)) for k in range(n + 1)))
+def _descaled(nums: list, den: int) -> Polynomial:
+    # the scaled form as an exact rational polynomial
+    return Polynomial(tuple(Fraction(nk, den) for nk in nums))
 
 
 def _residual(p: list, pden: int, target: Polynomial) -> float:
     # max_k |p[k]/pden - t_k| / max(1, max_j |t_j|) over the target's common
     # denominator, rounded once: the same double as the Fraction expression
+    if len(p) != len(target.coeffs):
+        raise ValueError(f"degree mismatch: {len(p) - 1} vs {target.degree}")
     t, tden = _over_common_denominator(target.coeffs)
     err = max(abs(pk * tden - tk * pden) for pk, tk in zip(p, t))
     try:
@@ -250,18 +254,7 @@ def _residual(p: list, pden: int, target: Polynomial) -> float:
 def _charpoly_residual(matrix, target: Polynomial) -> float:
     """coefficient_residual(char_poly(matrix), target) without rounding the
     characteristic polynomial first: exact, from the scaled ints."""
-    if target.degree != matrix.n:
-        raise ValueError(f"degree mismatch: {matrix.n} vs {target.degree}")
-    return _blocks_residual(_diagonal_blocks(matrix), target)
-
-
-def _blocks_residual(blocks, target: Polynomial) -> float:
-    # _charpoly_residual of the block-diagonal matrix with these diagonal
-    # blocks, whose orders add up to the target's degree
-    c, scale = _charpoly_scaled(blocks)
-    n = target.degree
-    # over the one denominator scale**n, coefficient k is c[k] * scale**k
-    return _residual([ck * scale**k for k, ck in enumerate(c)], scale**n, target)
+    return _residual(*_charpoly_scaled(_diagonal_blocks(matrix)), target)
 
 
 def coefficient_residual(p: Polynomial, target: Polynomial) -> float:
@@ -271,8 +264,6 @@ def coefficient_residual(p: Polynomial, target: Polynomial) -> float:
     denominator), so the residual reflects true coefficient deviations rather
     than float cancellation; the quotient is rounded once.
     """
-    if p.degree != target.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {target.degree}")
     return _residual(*_over_common_denominator(p.coeffs), target)
 
 

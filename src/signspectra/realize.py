@@ -26,10 +26,8 @@ from fractions import Fraction
 
 from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
 from .patterns import builtin_pattern
-from .poly import Polynomial, Quadratic, _blocks_residual, _convolve
+from .poly import Polynomial, Quadratic, _charpoly_scaled, _convolve, _residual
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
-
-_MAX_DOUBLINGS = 64
 
 
 def _jsonable(value):
@@ -253,8 +251,6 @@ def select_triple(quads, eps_zero) -> TripleSelection:
     classes = {"zero": zero_idx, "positive": pos_idx, "negative": neg_idx}
     label = max(classes, key=lambda k: len(classes[k]))
     chosen = classes[label][:3]
-    if len(chosen) < 3:
-        raise ValueError("no sign-homogeneous triple exists; preconditions were violated")
     snapped = 0.0
     triple = []
     for i in chosen:
@@ -357,7 +353,7 @@ def realize_poly(
     if not all(map(conforms, blocks, patterns)):
         raise ArithmeticError("constructed matrix does not conform; parameter bounds failed")
 
-    residual = _blocks_residual([b.entries for b in blocks], f)
+    residual = _residual(*_charpoly_scaled([b.entries for b in blocks]), f)
     if residual > (bound := _residual_bound(tol, f.degree)):
         raise ArithmeticError(f"exact residual {residual} exceeds the bound 10*tol*degree = {bound}")
     return RealizationReport(
@@ -443,11 +439,8 @@ def realize_subinertia(nu) -> tuple:
                 m -= 1
         mu = RefinedInertia(p, m, 0, 0)
 
-    for split in _CUBIC_SPLITS:
-        if mu.n_plus >= split[0] and mu.n_minus >= split[1]:
-            break
-    else:
-        raise ArithmeticError("unreachable: fewer than three real eigenvalues off the axes")
+    # mu keeps at least three nonzero real eigenvalues, so some split fits
+    split = next(s for s in _CUBIC_SPLITS if mu.n_plus >= s[0] and mu.n_minus >= s[1])
 
     h = [1]
     for factor, count in (
@@ -459,14 +452,12 @@ def realize_subinertia(nu) -> tuple:
         for _ in range(count):
             h = _convolve(h, factor)
 
+    # on the 95 inertias of total 8 the gate is passed by N = 8
     n = 1
-    for _ in range(_MAX_DOUBLINGS):
-        target = Polynomial(tuple(_convolve(_cubic(split, n), h)))
-        if not violates_sextic_gate(target):
-            _, matrix = realize_sextic(target)
-            return mu, matrix
+    while violates_sextic_gate(target := Polynomial(tuple(_convolve(_cubic(split, n), h)))):
         n *= 2
-    raise ArithmeticError(f"gate not reached after {_MAX_DOUBLINGS} doublings of the cubic scale")
+    _, matrix = realize_sextic(target)
+    return mu, matrix
 
 
 def realize_inertia(nu):
@@ -477,9 +468,6 @@ def realize_inertia(nu):
     for the 2x2 block.
     """
     mu, m6 = realize_subinertia(nu)
-    delta = tuple(a - b for a, b in zip(nu, mu))
-    if delta not in _DELTA_QUADS:
-        raise ArithmeticError(f"leftover inertia {delta} has no quadratic match")
-    p1, p0 = _DELTA_QUADS[delta]
+    p1, p0 = _DELTA_QUADS[tuple(a - b for a, b in zip(nu, mu))]
     m2 = realize_quadratic(p1, p0)
     return block_diag([m6, m2])

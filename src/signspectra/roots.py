@@ -369,6 +369,6 @@ def refined_inertia_of(matrix, tol: float = 1e-9) -> RefinedInertia:
             n_plus += 1
         else:
             n_minus += 1
-    if n_axis % 2:
-        raise RootFindingError("imaginary eigenvalues do not pair up; classification is unstable")
+    # a real root of the closed multiset has imag == 0.0, so it never counts as
+    # axis; axis roots come in exact conjugate pairs, so n_axis is even
     return RefinedInertia(n_plus, n_minus, n_zero, n_axis // 2)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from signspectra import (
 )
 from signspectra import realize
 from signspectra.poly import _charpoly_residual
+from signspectra.verify import _all_inertia_tuples
 
 T = builtin_pattern("T")
 D = builtin_pattern("D")
@@ -304,6 +306,11 @@ def test_realize_quadratic_float_backend():
     assert coefficient_residual(char_poly(m), Polynomial((-2.0, 0.5, 1.0))) <= 1e-15
 
 
+def test_realize_quadratic_rejects_an_unknown_backend():
+    with pytest.raises(ValueError, match="unknown backend"):
+        realize_quadratic(1, 1, backend="decimal")
+
+
 # --- triple selection ---------------------------------------------------------
 
 
@@ -355,6 +362,46 @@ def test_select_triple_validation():
         select_triple(bad, 1e-9)
     with pytest.raises(ValueError, match="eps_zero"):
         select_triple(quads_from_a([1.0] * 8), 0.0)
+
+
+EPS_ZERO = 1e-9
+_A_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, EPS_ZERO, -EPS_ZERO, math.nextafter(EPS_ZERO, 1.0)]),
+    st.floats(-2 * EPS_ZERO, 2 * EPS_ZERO),
+    st.floats(-1e3, 1e3),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(_A_VALUES, st.floats(0.0, 1e3)), min_size=8, max_size=14),
+    st.one_of(st.none(), st.integers(0, 13)),
+)
+def test_select_triple_always_takes_the_largest_class(pairs, negative_at):
+    # the pigeonhole argument: with at least 8 quadratics and at most one
+    # b < 0, the three classes hold 7 or more, so the largest holds 3 or more
+    quads = [Quadratic(a, b) for a, b in pairs]
+    if negative_at is not None and negative_at < len(quads):
+        quads[negative_at] = Quadratic(quads[negative_at].a, -1.0)
+    classes = {"zero": [], "positive": [], "negative": []}
+    for i, q in enumerate(quads):
+        if q.b >= 0:
+            label = "zero" if abs(q.a) <= EPS_ZERO else "positive" if q.a > 0 else "negative"
+            classes[label].append(i)
+    label = max(classes, key=lambda k: len(classes[k]))
+    chosen = classes[label][:3]
+    assert len(chosen) == 3
+
+    sel = select_triple(quads, EPS_ZERO)
+    assert sel.label == label
+    if label == "zero":
+        expected = [Quadratic(0.0, quads[i].b) for i in chosen]
+        assert sel.snapped == sum(abs(quads[i].a) for i in chosen)
+    else:
+        expected = [quads[i] for i in chosen]
+        assert sel.snapped == 0.0
+    assert list(sel.triple) == expected
+    assert list(sel.rest) == [q for i, q in enumerate(quads) if i not in chosen]
 
 
 # --- block-diagonal realization ----------------------------------------------
@@ -569,6 +616,40 @@ def test_realize_inertia_spot_checks():
         assert m.n == 8
         assert conforms(m, td)
         assert refined_inertia_of(m) == RefinedInertia(*nu)
+
+
+def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch):
+    # The 95 tuples of total 8 are the whole domain of realize_subinertia and
+    # realize_inertia.  Over it, some cubic split always fits, the doubling
+    # of the cubic scale N stops by N = 8, and every leftover nu - mu is a
+    # key of _DELTA_QUADS, so none of these needs a fallback.
+    gate = realize.violates_sextic_gate
+    calls = []
+    monkeypatch.setattr(realize, "violates_sextic_gate", lambda p: calls.append(p) or gate(p))
+    paths = Counter()
+    leftovers = Counter()
+    for nu in _all_inertia_tuples(8):
+        calls.clear()
+        mu, _ = realize_subinertia(nu)
+        # realize_sextic checks the gate once on the sextic it is given: that
+        # is the even sextic's only call, and the last of the cubic path's
+        if len(calls) == 1:
+            assert calls[0].coeffs[3] == calls[0].coeffs[5] == 0
+            paths["even sextic"] += 1
+        else:
+            paths[f"N = {2 ** (len(calls) - 2)}"] += 1
+        leftovers[tuple(a - b for a, b in zip(nu, mu))] += 1
+    assert paths == {"even sextic": 25, "N = 1": 37, "N = 2": 17, "N = 4": 12, "N = 8": 4}
+    assert leftovers == {
+        (0, 0, 2, 0): 26,
+        (0, 0, 0, 1): 32,
+        (1, 1, 0, 0): 5,
+        (2, 0, 0, 0): 8,
+        (0, 2, 0, 0): 8,
+        (1, 0, 1, 0): 8,
+        (0, 1, 1, 0): 8,
+    }
+    assert leftovers.keys() == realize._DELTA_QUADS.keys()
 
 
 def test_realize_inertia_validation():

@@ -25,7 +25,7 @@ from signspectra import (
     refined_inertia_of,
     roots_to_quadratics,
 )
-from signspectra.roots import _SQUAREFREE_DEGREE_CAP, _squarefree_factors
+from signspectra.roots import _SQUAREFREE_DEGREE_CAP, _squarefree_factors, _zdiv_exact
 
 F_FACTORS = (
     Polynomial((1, 1, 1)),
@@ -228,6 +228,15 @@ def test_squarefree_split_edge_cases():
     assert _squarefree_factors(p32) == factors
     roots = find_roots(p32).roots
     assert roots.count(-2) == 3 and roots.count(1j) == 4 and roots.count(-1j) == 4
+
+
+def test_exact_integer_division_raises_when_inexact():
+    # a leading coefficient that does not divide, and a nonzero remainder tail
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _zdiv_exact([0, 1], [1, 2])
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _zdiv_exact([1, 0, 1], [1, 1])
+    assert _zdiv_exact([1, 2, 1], [1, 1]) == [1, 1]
 
 
 @st.composite
