@@ -19,6 +19,9 @@ Conjugate closure has one rule, RootMultiset's, which find_roots applies once
 to the raw roots: near-real roots are snapped onto the axis, conjugate pairs
 are matched within tol and made exact, and a NaN or infinite root is rejected.
 A NaN backward error counts as the worst, so it fails the certificate.
+
+numpy is imported on the first companion-matrix solve, not with the module:
+the exact certificates and the closed forms never load it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .poly import Polynomial, Quadratic, _over_common_denominator, char_poly
 
@@ -144,6 +145,8 @@ def _roots_of_coeffs(coeffs: list) -> list:
     elif deg == 2:
         roots = _quadratic_roots(work[1] / work[2], work[0] / work[2])
     else:  # companion-matrix eigenvalues
+        import numpy as np  # here, so a process that solves no cubic never loads it
+
         roots = [complex(z) for z in np.roots([float(c) for c in reversed(work)])]
     return [0j] * zeros + roots
 

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -598,6 +600,25 @@ def test_kernel_reports_numpy():
     from signspectra import KERNEL
 
     assert KERNEL == "numpy"
+
+
+def test_numpy_loads_only_for_a_companion_matrix_solve():
+    # the exact certificates, the pattern output and the CLI import never
+    # reach the companion matrix, so a fresh process leaves numpy unloaded
+    script = """
+import sys
+import signspectra.cli as cli
+from signspectra import Polynomial, builtin_pattern, check_divisor_obstruction, check_identity, find_roots
+assert check_identity("T", 20).all_passed
+assert check_divisor_obstruction().passed
+builtin_pattern("U3").to_dict()
+cli.main(["pattern", "U3"], standalone_mode=False)
+assert "numpy" not in sys.modules, "numpy loaded before any root solve"
+find_roots(Polynomial((1.0, 2.0, 3.0, 1.0)))
+assert "numpy" in sys.modules, "a cubic did not reach the companion matrix"
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 def test_unattainable_tolerance_reports_residual():
