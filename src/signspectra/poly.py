@@ -141,27 +141,25 @@ def _charpoly_int(a: list, n: int) -> list:
     # Mk = A(Mk-1 + c[n-k+1] I), c[n-k] = -tr(Mk)/k.  The division by k is
     # exact for integer input because the coefficients are integers.  The
     # last step reads only tr(Mn), so it takes the dot product of A with the
-    # shifted Mn-1 instead of forming the product.
+    # shifted Mn-1 instead of forming the product.  Each row's nonzero
+    # entries (l, a_il) are listed once, and only they are visited.
     c = [0] * (n + 1)
     c[n] = 1
+    nonzeros = [[(l, ail) for l, ail in enumerate(arow) if ail] for arow in a]
     m = [row[:] for row in a]
     c[n - 1] = -sum(m[i][i] for i in range(n))
     for k in range(2, n + 1):
         for i in range(n):
             m[i][i] += c[n - k + 1]
         if k == n:
-            tr = sum(ail * m[l][i] for i, arow in enumerate(a) for l, ail in enumerate(arow) if ail)
+            tr = sum(ail * m[l][i] for i, nz in enumerate(nonzeros) for l, ail in nz)
         else:
             nxt = [[0] * n for _ in range(n)]
-            for i in range(n):
-                arow = a[i]
-                row = nxt[i]
-                for l in range(n):
-                    ail = arow[l]
-                    if ail:
-                        mrow = m[l]
-                        for j in range(n):
-                            row[j] += ail * mrow[j]
+            for row, nz in zip(nxt, nonzeros):
+                for l, ail in nz:
+                    mrow = m[l]
+                    for j in range(n):
+                        row[j] += ail * mrow[j]
             m = nxt
             tr = sum(m[i][i] for i in range(n))
         q, r = divmod(-tr, k)
@@ -189,22 +187,33 @@ def _charpoly_scaled(blocks) -> tuple:
     for the block-diagonal M of order n with these diagonal blocks (each a
     row sequence).
 
-    With scale the common denominator of the block entries, taken straight
-    from their integer ratios (a double is dyadic), and c the characteristic
+    With scale = odd << shift the common denominator of the block entries,
+    taken straight from their integer ratios, and c the characteristic
     polynomial of scale*M (the product of its blocks' polynomials),
-    nums[k] = c[k] * scale**k and den = scale**n.  Entries outside the blocks
-    are zero and do not change the scale, so any split of M into diagonal
-    blocks gives the same (nums, den).
+    nums[k] = c[k] * odd**k << shift*k and den = odd**n << shift*n, which is
+    c[k] * scale**k and scale**n.  A double is dyadic, so odd is 1 for a
+    float matrix and the powers of its scale are shifts.  Entries outside the
+    blocks are zero and do not change the scale, so any split of M into
+    diagonal blocks gives the same (nums, den).
     """
     flat, scale = _over_common_denominator([e for block in blocks for row in block for e in row])
+    shift = (scale & -scale).bit_length() - 1
+    odd = scale >> shift
     c = [1]
     pos = 0
     for block in blocks:
         order = len(block)
         rows = [flat[pos + i * order : pos + (i + 1) * order] for i in range(order)]
-        c = _convolve(c, _charpoly_int(rows, order))
+        # the short block polynomial as the outer operand; ints commute exactly
+        c = _convolve(_charpoly_int(rows, order), c)
         pos += order * order
-    return [ck * scale**k for k, ck in enumerate(c)], scale ** (len(c) - 1)
+    nums = []
+    power = 1  # odd**k
+    for k, ck in enumerate(c):
+        nums.append((ck * power) << (shift * k))
+        power *= odd
+    # c is monic, so its leading term is den
+    return nums, nums[-1]
 
 
 def char_poly(matrix) -> Polynomial:

@@ -20,6 +20,13 @@ to the raw roots: near-real roots are snapped onto the axis, conjugate pairs
 are matched within tol and made exact, and a NaN or infinite root is rejected.
 A NaN backward error counts as the worst, so it fails the certificate.
 
+The certificate is evaluated once per conjugate pair, at the root above the
+axis, and at every real root.  This is exact, not an estimate: the
+coefficients are real, so Horner's rule at z-bar computes the conjugate of
+each of its steps at z (negating a part is exact and IEEE rounding is
+symmetric), and |z-bar| = |z|; the backward error at z-bar is the same
+double, or NaN at both.
+
 numpy is imported on the first companion-matrix solve, not with the module:
 the exact certificates and the closed forms never load it.
 """
@@ -254,22 +261,38 @@ def _squarefree_factors(p: Polynomial) -> list:
     return out
 
 
+def _backward_errors(coeffs: list, zs) -> list:
+    # backward_error at each z, with |c_k| taken once for all of them; an
+    # evaluation whose modulus leaves the double range gives NaN
+    lead, lead_mag = complex(coeffs[-1]), abs(coeffs[-1])
+    rest = coeffs[-2::-1]
+    terms = list(zip(rest, map(abs, rest)))
+    out = []
+    for z in zs:
+        acc = lead
+        emag = lead_mag
+        try:
+            az = abs(z)
+            for c, ac in terms:
+                acc = acc * z + c
+                emag = emag * az + ac
+            out.append(0.0 if emag == 0.0 else abs(acc) / emag)
+        except OverflowError:  # abs() of a finite complex beyond the double range
+            out.append(math.nan)
+    return out
+
+
 def backward_error(coeffs: list, z: complex) -> float:
     """Smallest relative coefficient perturbation making z an exact root.
 
     Computed as |p(z)| / sum_k |c_k| |z|^k with both Horner passes in double
-    precision.  This is the certificate quantity for find_roots: a flat
-    denominator such as max|c_k| is unattainable at high degree, since the
-    evaluation of p near a root of magnitude r carries rounding noise of
-    order eps * sum |c_k| r^k regardless of the root's accuracy.
+    precision, NaN if an evaluation leaves the double range.  This is the
+    certificate quantity for find_roots: a flat denominator such as max|c_k|
+    is unattainable at high degree, since the evaluation of p near a root of
+    magnitude r carries rounding noise of order eps * sum |c_k| r^k
+    regardless of the root's accuracy.
     """
-    acc = complex(coeffs[-1])
-    emag = abs(coeffs[-1])
-    az = abs(z)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-        emag = emag * az + abs(c)
-    return 0.0 if emag == 0.0 else abs(acc) / emag
+    return _backward_errors(coeffs, (z,))[0]
 
 
 def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
@@ -281,6 +304,10 @@ def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     evaluation, i.e. z is an exact root of some polynomial whose coefficients
     differ relatively from p's by at most tol; otherwise RootFindingError is
     raised with the worst backward error, NaN if an evaluation overflowed.
+    The error is computed once per conjugate pair, at the root above the
+    axis: the stored pairs are exact conjugates and the coefficients are
+    real, so the root below has bitwise the same error (see the module
+    docstring), and the bound holds for it too.
     """
     if p.degree < 1:
         raise ValueError("cannot extract roots of a constant polynomial")
@@ -297,11 +324,11 @@ def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     except ValueError as e:
         raise RootFindingError(str(e)) from e
 
-    fc = p.float_coeffs()
+    # the coefficients are real, so a root below the axis has the same
+    # backward error as its stored conjugate above it
+    errors = _backward_errors(p.float_coeffs(), [z for z in rm.roots if z.imag >= 0])
     # max() drops a NaN that is not first, so NaN is ranked above every number
-    worst = max(
-        (backward_error(fc, z) for z in rm.roots), key=lambda e: math.inf if math.isnan(e) else e
-    )
+    worst = max(errors, key=lambda e: math.inf if math.isnan(e) else e)
     if not (worst <= tol):
         raise RootFindingError(
             f"residual certificate failed: worst backward error {worst:.3e} > {tol:.1e}",

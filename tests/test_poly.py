@@ -19,7 +19,13 @@ from signspectra import (
     polynomial_from_dict,
     realize_even_sextic,
 )
-from signspectra.poly import _charpoly_int, _charpoly_residual
+from signspectra.poly import (
+    _charpoly_int,
+    _charpoly_residual,
+    _charpoly_scaled,
+    _convolve,
+    _over_common_denominator,
+)
 from signspectra.verify import _walk_coefficients
 
 
@@ -263,11 +269,65 @@ def test_charpoly_residual_equals_coefficient_residual():
 
 @st.composite
 def _int_matrix(draw, min_order=1):
-    # sparse integer matrices with small or huge entries
+    # sparse integer matrices with small or huge entries, some rows and
+    # columns entirely zero
     n = draw(st.integers(min_order, 9))
     bound = draw(st.sampled_from([3, 10**6, 10**30]))
     entry = st.one_of(st.just(0), st.integers(-bound, bound))
-    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(a)
+    ]
+
+
+def _scaled_by_powers(blocks):
+    # the scaled form as c[k] * scale**k over scale**n, the block polynomials
+    # multiplied in as the inner operand
+    flat, scale = _over_common_denominator([e for block in blocks for row in block for e in row])
+    c = [1]
+    pos = 0
+    for block in blocks:
+        k = len(block)
+        c = _convolve(c, _charpoly_int([flat[pos + i * k : pos + (i + 1) * k] for i in range(k)], k))
+        pos += k * k
+    return [ck * scale**k for k, ck in enumerate(c)], scale ** (len(c) - 1)
+
+
+@st.composite
+def _mixed_blocks(draw):
+    # one to four diagonal blocks, each rational (denominators with odd parts,
+    # such as 1/3 and 5/12), float, or integer
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    kinds = draw(st.lists(st.sampled_from(["rational", "float", "int"]), min_size=1, max_size=4))
+
+    def entry(kind):
+        if kind == "rational":
+            return Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 5, 12]))
+        if kind == "float":
+            return rng.choice([0.0, rng.uniform(-1, 1) * 2.0 ** rng.randint(-80, 80)])
+        return rng.randint(-9, 9)
+
+    blocks = []
+    for kind in kinds:
+        k = rng.randint(1, 5)
+        blocks.append([[entry(kind) for _ in range(k)] for _ in range(k)])
+    return blocks
+
+
+def test_charpoly_scaled_equals_the_powers_of_the_scale():
+    # scale = odd << shift: 12 = 3 << 2, 4 = 1 << 2, and 1 = 1 << 0
+    assert _charpoly_scaled([[[Fraction(1, 3), Fraction(5, 12)], [1, 0]]]) == ([-60, -48, 144], 144)
+    assert _charpoly_scaled([[[0.5, 0.25], [1.0, 0.0]]]) == ([-4, -8, 16], 16)
+    assert _charpoly_scaled([[[2, 0], [0, 3]]]) == ([6, -5, 1], 1)
+
+    @PROPERTY_SETTINGS
+    @given(_mixed_blocks())
+    def same_ints(blocks):
+        assert _charpoly_scaled(blocks) == _scaled_by_powers(blocks)
+
+    same_ints()
 
 
 def test_charpoly_int_matches_cofactor_expansion():

@@ -27,7 +27,7 @@ from signspectra import (
     refined_inertia_of,
     roots_to_quadratics,
 )
-from signspectra.roots import _SQUAREFREE_DEGREE_CAP, _squarefree_factors, _zdiv_exact
+from signspectra.roots import _SQUAREFREE_DEGREE_CAP, _roots_of_coeffs, _squarefree_factors, _zdiv_exact
 
 F_FACTORS = (
     Polynomial((1, 1, 1)),
@@ -365,6 +365,55 @@ def test_backward_error_measures_perturbation():
     assert backward_error(coeffs, 2.0 + 0j) == 0.0
     # p(3) = 2 against sum |c_k| 3**k = 2 + 9 + 9 = 20
     assert backward_error(coeffs, 3.0 + 0j) == pytest.approx(0.1)
+
+
+# p at its companion root pair of modulus about 5e80 has finite parts and a
+# modulus beyond the double range; its real roots give 0.0 and 1.0
+_OVERFLOWING_PAIR = Polynomial(
+    (-1.230517505741236e180, 1.6394194476331448e242, 0.0, 1.5267462500597595e-05, 1.0)
+)
+
+
+def test_backward_error_beyond_the_double_range_is_nan():
+    # |p(i)| and |z| have finite parts but a modulus above the largest double;
+    # abs() raises there, and the documented result is NaN at z and at z-bar
+    for coeffs, z in (([1.5e308, 1.5e308], 1j), ([0.0, 1.0], 1.5e308 + 1.5e308j)):
+        assert math.isnan(backward_error(coeffs, z))
+        assert math.isnan(backward_error(coeffs, z.conjugate()))
+    # find_roots reaches it
+    with pytest.raises(RootFindingError, match="worst backward error nan") as err:
+        find_roots(_OVERFLOWING_PAIR, tol=1e-9)
+    assert math.isnan(err.value.residual)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+def test_backward_error_is_conjugate_symmetric(coeffs, z):
+    # on real coefficients the error at z-bar is bitwise the error at z, or
+    # NaN at both, over the whole double range: find_roots certifies one
+    # root per conjugate pair on this
+    assert backward_error(coeffs, z.conjugate()).hex() == backward_error(coeffs, z).hex()
+
+
+def test_failed_certificate_reports_the_worst_over_all_roots():
+    # find_roots evaluates one root per conjugate pair; the worst it reports
+    # on a forced failure is still the worst over every root of the multiset
+    rng = random.Random(11)
+    targets = [random_monic_polynomial(degree, rng) for degree in (5, 16, 16, 64)]
+    targets.append(_OVERFLOWING_PAIR)
+    tol = 1e-20
+    for p in targets:
+        rm = RootMultiset(tuple(_roots_of_coeffs(list(p.coeffs))), tol)
+        assert any(z.imag < 0 for z in rm.roots)
+        fc = p.float_coeffs()
+        errors = [backward_error(fc, z) for z in rm.roots]
+        expected = math.nan if any(map(math.isnan, errors)) else max(errors)
+        with pytest.raises(RootFindingError, match="certificate") as err:
+            find_roots(p, tol=tol)
+        assert err.value.residual.hex() == expected.hex()
 
 
 def test_certificate_bounds_returned_roots():
