@@ -16,9 +16,11 @@ pseudo-remainder sequence, and every quotient is an exact integer division, so
 no Fraction arithmetic runs until the monic factors are formed.
 
 Conjugate closure has one rule, RootMultiset's, which find_roots applies once
-to the raw roots: near-real roots are snapped onto the axis, conjugate pairs
-are matched within tol and made exact, and a NaN or infinite root is rejected.
-A NaN backward error counts as the worst, so it fails the certificate.
+to the raw roots: near-real roots are snapped onto the axis, every other root
+must come with its exact conjugate, and a NaN or infinite root is rejected.
+The raw pairs are exact: the quadratic builds -a/2 +- i*im from one value, and
+LAPACK's dgeev returns a real matrix's complex pairs as wr +- i*wi.  A NaN
+backward error counts as the worst, so it fails the certificate.
 
 The certificate is evaluated once per conjugate pair, at the root above the
 axis, and at every real root.  This is exact, not an estimate: the
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -62,10 +65,10 @@ class RootMultiset:
     """Roots with multiplicity (repeated entries), exactly closed under conjugation.
 
     Every root must be finite.  A root with |Im| <= tol is stored on the real
-    axis; each root above the axis, in (Re, Im) order, takes the nearest
-    remaining conjugate of a root below it, which must lie within
-    tol * (1 + |z|), and the pair is stored as the exact conjugates of its
-    average.  Anything else raises ValueError.  Stored sorted by (Re, Im).
+    axis; every other root must come with its exact conjugate, as LAPACK's
+    dgeev returns a complex pair (wr + i*wi, wr - i*wi) and the closed forms
+    build theirs from one value.  Anything else raises ValueError.  Stored
+    sorted by (Re, Im), a pair as the root above the axis and its conjugate.
     """
 
     roots: tuple
@@ -74,31 +77,25 @@ class RootMultiset:
     def __post_init__(self):
         closed = []  # the real roots first, then the pairs
         upper = []
-        lower = []
+        partners = []  # the conjugates of the roots below the axis
         for z in map(complex, self.roots):
             if not cmath.isfinite(z):
                 raise ValueError(f"root {z} is not finite")
             if abs(z.imag) <= self.tol:
                 closed.append(complex(z.real))
             elif z.imag > 0:
-                upper.append(z)
+                upper.append(z + 0.0)  # a -0.0 real part is stored as 0.0
             else:
-                lower.append(z)
-        if len(upper) != len(lower):
-            raise ValueError(
-                f"root multiset is not closed under conjugation: {len(upper)} above the axis, {len(lower)} below"
-            )
-        upper.sort(key=lambda z: (z.real, z.imag))
-        for z in upper:
-            dist, j = min((abs(z - w.conjugate()), j) for j, w in enumerate(lower))
-            if dist > self.tol * (1.0 + abs(z)):
-                raise ValueError(
-                    f"root {z} has no conjugate partner within tolerance (closest at distance {dist:.3e})"
-                )
-            # the midpoint form cannot overflow, and an exact pair returns z itself
-            avg = z + 0.5 * (lower.pop(j).conjugate() - z)
-            closed += (avg, avg.conjugate())
-        object.__setattr__(self, "roots", tuple(sorted(closed, key=lambda z: (z.real, z.imag))))
+                partners.append(z.conjugate())
+        key = lambda z: (z.real, z.imag)
+        upper.sort(key=key)
+        partners.sort(key=key)
+        if upper != partners:
+            above, below = Counter(upper) - Counter(partners), Counter(partners) - Counter(upper)
+            z = next(iter(above)) if above else next(iter(below)).conjugate()
+            raise ValueError(f"root multiset is not closed under conjugation: root {z} has no conjugate partner")
+        closed += upper + [z.conjugate() for z in upper]
+        object.__setattr__(self, "roots", tuple(sorted(closed, key=key)))
 
     @property
     def n(self) -> int:
@@ -353,7 +350,7 @@ def roots_to_quadratics(multiset: RootMultiset) -> list:
     negatives = []
     conj = []
     for z in multiset.roots:
-        if abs(z.imag) <= tol:
+        if z.imag == 0:  # the closure stores its real roots on the axis
             r = z.real
             if abs(r) <= tol:
                 zeros.append(0.0)

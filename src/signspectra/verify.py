@@ -389,7 +389,7 @@ def _unsplit_charpoly(m: RationalMatrix) -> Polynomial:
     return _descaled(*_charpoly_scaled([m.entries]))
 
 
-def _nilpotence_lift_holds(rng: random.Random, rounds: int = 20) -> bool:
+def _nilpotence_lift_holds(rng: random.Random) -> bool:
     """Block-diagonal nilpotence is equivalent to blockwise nilpotence.
 
     Checked directly on characteristic polynomials: a matrix is nilpotent
@@ -409,7 +409,7 @@ def _nilpotence_lift_holds(rng: random.Random, rounds: int = 20) -> bool:
                 [[Fraction(rng.randint(-5, 5)) for _ in range(size)] for _ in range(size)]
             )
         )
-    for _ in range(rounds):
+    for _ in range(_LIFT_ROUNDS):
         a = rng.choice(pool)
         b = rng.choice(pool)
         m = block_diag([a, b])
@@ -431,10 +431,11 @@ def _all_inertia_tuples(total: int = 8):
                 yield RefinedInertia(npos, rest - nz - npos, nz, ni)
 
 
-# fixed settings of the suite: the part-1 and part-3 sample counts, the
-# inertia classification tolerance, and the root tolerance and residual bound
-# of the degree-64 chain realizations
+# fixed settings of the suite: the part-1 sample and nilpotence-lift round
+# counts, the part-3 sample count, the inertia classification tolerance, and
+# the root tolerance and residual bound of the degree-64 chain realizations
 _POLY_SAMPLES = 20
+_LIFT_ROUNDS = 20
 _CHAIN_SAMPLES = 5
 _INERTIA_TOL = 1e-6
 _CHAIN_TOL = 1e-7

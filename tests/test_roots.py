@@ -1,7 +1,9 @@
+import cmath
 import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -509,18 +511,75 @@ def test_root_multiset_validation():
         RootMultiset((1 + 1j, -1 - 1.5j), 1e-9)
     rm = RootMultiset((1 + 1j, 1 - 1j, 0.5), 1e-9)
     assert rm.n == 3
-    # a near-real root is stored on the axis, an inexact pair as the exact
-    # conjugates of its average, and the roots in (Re, Im) order
-    rm = RootMultiset((1 + 1j, 0.5 + 1e-12j, 1 - 1.0000000001j, -2), 1e-9)
-    assert rm.roots == (-2 + 0j, 0.5 + 0j, 1 - 1.00000000005j, 1 + 1.00000000005j)
+    # a near-real root is stored on the axis, and the roots in (Re, Im) order
+    rm = RootMultiset((1 + 1j, 0.5 + 1e-12j, 1 - 1j, -2), 1e-9)
+    assert rm.roots == (-2 + 0j, 0.5 + 0j, 1 - 1j, 1 + 1j)
     assert rm.roots[1].imag == 0.0
     assert rm.roots[2] == rm.roots[3].conjugate()
+    # a pair must be exact: one that is off by 1e-10 is not averaged
+    with pytest.raises(ValueError, match=r"not closed.*root \(1\+1j\) has no conjugate partner"):
+        RootMultiset((1 + 1j, 1 - 1.0000000001j), 1e-9)
+    # the unpaired root named may lie below the axis, or be one of a repeat
+    with pytest.raises(ValueError, match=r"root \(2-1j\) has no conjugate partner"):
+        RootMultiset((1 + 1j, 2 - 1j, 1 - 1j), 1e-9)
+    with pytest.raises(ValueError, match=r"root \(1\+1j\) has no conjugate partner"):
+        RootMultiset((1 + 1j, 1 - 1j, 1 + 1j), 1e-9)
+    # a -0.0 real part of a pair is stored as 0.0
+    rm = RootMultiset((complex(-0.0, 1.0), complex(-0.0, -1.0)), 1e-9)
+    assert [z.real.hex() for z in rm.roots] == ["0x0.0p+0", "0x0.0p+0"]
     with pytest.raises(ValueError, match="not finite"):
         RootMultiset((complex(math.nan, 1.0), complex(math.nan, -1.0)), 1e-9)
 
 
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e-9, 1e-9)), max_size=6),
+    st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)), max_size=6),
+    st.data(),
+)
+def test_closure_does_not_depend_on_input_order(near_real, pairs, data):
+    roots = [complex(x, e) for x, e in near_real] + [complex(x, s * y) for x, y in pairs for s in (1, -1)]
+    shuffled = data.draw(st.permutations(roots))
+    assert RootMultiset(tuple(shuffled), 1e-9).roots == RootMultiset(tuple(roots), 1e-9).roots
+
+
+def _exactly_closed(roots) -> bool:
+    # every finite root off the axis has its exact conjugate, with multiplicity
+    off_axis = Counter(z for z in roots if cmath.isfinite(z) and z.imag != 0)
+    return off_axis == Counter(z.conjugate() for z in off_axis.elements())
+
+
+# a float coefficient anywhere from 1e-300 to 1e300 in magnitude, or zero
+_WIDE_COEFF = st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(_WIDE_COEFF, min_size=3, max_size=64))
+def test_raw_float_roots_come_in_exact_conjugate_pairs(low):
+    # RootMultiset pairs roots by equality, not by distance: the closed forms
+    # and dgeev (wr + i*wi, wr - i*wi) must hand it exact pairs
+    assert _exactly_closed(_roots_of_coeffs(low + [1.0]))
+
+
+@PROPERTY_SETTINGS
+@given(_repeated_factor_product())
+def test_raw_roots_of_squarefree_factors_come_in_exact_conjugate_pairs(coeffs):
+    assert _exactly_closed(_roots_of_coeffs([float(c) for c in coeffs]))
+    for f, _ in _squarefree_factors(Polynomial(tuple(coeffs))):
+        assert _exactly_closed(_roots_of_coeffs(list(f.coeffs)))
+
+
+def test_raw_roots_come_in_exact_conjugate_pairs_at_high_degree():
+    for degree in (128, 256):
+        for seed in range(3):
+            rng = random.Random(seed)
+            assert _exactly_closed(_roots_of_coeffs(list(random_monic_polynomial(degree, rng).coeffs)))
+            low = [rng.uniform(-10, 10) * 10.0 ** rng.randint(-300, 300) for _ in range(degree)]
+            assert _exactly_closed(_roots_of_coeffs(low + [1.0]))
+
+
 def test_conjugate_closure_snaps_and_pairs():
-    # slightly unsymmetric inputs come back exactly closed
+    # the companion solve's exact pairs come back with both roots stored
     rm = find_roots(poly_from_root_spec([0.5], [(1.0, 2.0), (-1.0, 0.25)]), tol=1e-9)
     ups = [z for z in rm.roots if z.imag > 0]
     for z in ups:
