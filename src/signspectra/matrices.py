@@ -27,7 +27,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(
         f"rational entries must be int, str or Fraction, got {type(value).__name__}; "
         "lift float matrices with FloatMatrix.lift()"
@@ -132,10 +135,7 @@ def parse_rational(value) -> Fraction:
         value = int(value)
     if not isinstance(value, (str, int)):
         raise ValueError("rational entries must be strings or integers")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+    return _as_fraction(value)
 
 
 def _as_float(value, where: str) -> float:

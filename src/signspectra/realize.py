@@ -375,29 +375,28 @@ def _as_inertia(nu) -> RefinedInertia:
     return nu
 
 
-_CUBIC_SPLITS = ((3, 0), (0, 3), (2, 1), (1, 2))
+# the root that stands for each refined-inertia class, in RefinedInertia
+# field order: t - 1 (+1), t + 1 (-1), t (0) and t**2 + 1 (the pair ±i)
+_CLASS_FACTORS = ([-1, 1], [1, 1], [0, 1], [1, 0, 1])
 
-_DELTA_QUADS = {
-    (0, 0, 2, 0): (0, 0),
-    (0, 0, 0, 1): (0, 1),
-    (1, 1, 0, 0): (0, -1),
-    (2, 0, 0, 0): (-2, 1),
-    (0, 2, 0, 0): (2, 1),
-    (1, 0, 1, 0): (-1, 0),
-    (0, 1, 1, 0): (1, 0),
-}
+# monic cubics with prescribed signs, first fit first: the (n_plus, n_minus)
+# split each realizes, and the multipliers of N**3, N**2 and N in its
+# ascending int coefficients: (t-N)^3, (t+N)^3, (t+3N)(t-N)^2, (t-3N)(t+N)^2
+_CUBICS = (
+    ((3, 0), (-1, 3, -3)),
+    ((0, 3), (1, 3, 3)),
+    ((2, 1), (3, -5, 1)),
+    ((1, 2), (-3, -5, -1)),
+)
 
 
-def _cubic(split, n: int) -> list:
-    # monic cubics with prescribed signs, ascending int coefficients:
-    # (t-N)^3, (t+N)^3, (t+3N)(t-N)^2, (t-3N)(t+N)^2
-    if split == (3, 0):
-        return [-n**3, 3 * n**2, -3 * n, 1]
-    if split == (0, 3):
-        return [n**3, 3 * n**2, 3 * n, 1]
-    if split == (2, 1):
-        return [3 * n**3, -5 * n**2, n, 1]
-    return [-3 * n**3, -5 * n**2, -n, 1]
+def _class_poly(counts) -> list:
+    # monic int polynomial, ascending, with counts[k] roots of class k
+    p = [1]
+    for factor, count in zip(_CLASS_FACTORS, counts):
+        for _ in range(count):
+            p = _convolve(p, factor)
+    return p
 
 
 def realize_subinertia(nu) -> tuple:
@@ -412,7 +411,10 @@ def realize_subinertia(nu) -> tuple:
     """
     nu = _as_inertia(nu)
     if nu.order() != 8:
-        raise ValueError(f"refined inertia must have total 8, got {nu.order()}")
+        raise ValueError(
+            "refined inertia must have total 8: n_plus + n_minus + n_zero + 2*n_imag "
+            f"must equal 8, got {nu.order()}"
+        )
     if nu.n_zero + 2 * nu.n_imag >= 6:
         mi = min(nu.n_imag, 3)
         m0 = 6 - 2 * mi
@@ -420,41 +422,30 @@ def realize_subinertia(nu) -> tuple:
         _, matrix = realize_even_sextic(*vals)
         return RefinedInertia(0, 0, m0, mi), matrix
 
+    # drop an imaginary pair; otherwise two eigenvalues one at a time, a zero
+    # first, else one from the larger real side (ties go to plus)
     n_plus, n_minus, n_zero, n_imag = nu
-    if n_imag >= 1:
-        mu = RefinedInertia(n_plus, n_minus, n_zero, n_imag - 1)
-    elif n_zero >= 2:
-        mu = RefinedInertia(n_plus, n_minus, n_zero - 2, 0)
-    elif n_zero == 1:
-        if n_plus >= n_minus:
-            mu = RefinedInertia(n_plus - 1, n_minus, 0, 0)
-        else:
-            mu = RefinedInertia(n_plus, n_minus - 1, 0, 0)
+    if n_imag:
+        n_imag -= 1
     else:
-        p, m = n_plus, n_minus
         for _ in range(2):
-            if p >= m:
-                p -= 1
+            if n_zero:
+                n_zero -= 1
+            elif n_plus >= n_minus:
+                n_plus -= 1
             else:
-                m -= 1
-        mu = RefinedInertia(p, m, 0, 0)
+                n_minus -= 1
+    mu = RefinedInertia(n_plus, n_minus, n_zero, n_imag)
 
     # mu keeps at least three nonzero real eigenvalues, so some split fits
-    split = next(s for s in _CUBIC_SPLITS if mu.n_plus >= s[0] and mu.n_minus >= s[1])
-
-    h = [1]
-    for factor, count in (
-        ([0, 1], mu.n_zero),
-        ([1, 0, 1], mu.n_imag),
-        ([-1, 1], mu.n_plus - split[0]),
-        ([1, 1], mu.n_minus - split[1]),
-    ):
-        for _ in range(count):
-            h = _convolve(h, factor)
+    (s_plus, s_minus), (c3, c2, c1) = next(
+        c for c in _CUBICS if mu.n_plus >= c[0][0] and mu.n_minus >= c[0][1]
+    )
+    h = _class_poly((mu.n_plus - s_plus, mu.n_minus - s_minus, mu.n_zero, mu.n_imag))
 
     # on the 95 inertias of total 8 the gate is passed by N = 8
     n = 1
-    while violates_sextic_gate(target := Polynomial(tuple(_convolve(_cubic(split, n), h)))):
+    while violates_sextic_gate(target := Polynomial(tuple(_convolve([c3 * n**3, c2 * n**2, c1 * n, 1], h)))):
         n *= 2
     _, matrix = realize_sextic(target)
     return mu, matrix
@@ -463,11 +454,10 @@ def realize_subinertia(nu) -> tuple:
 def realize_inertia(nu):
     """8x8 matrix over diag(T, D) with refined inertia exactly nu (total 8).
 
-    The 6x6 block realizes some mu <= nu; the score left over, nu - mu, has
-    total 2 and is one of seven cases, each matched by an explicit quadratic
-    for the 2x2 block.
+    The 6x6 block realizes some mu <= nu; the 2x2 block realizes the score
+    left over, nu - mu, of total 2, with the quadratic that has one root of
+    the same class for each eigenvalue in it.
     """
     mu, m6 = realize_subinertia(nu)
-    p1, p0 = _DELTA_QUADS[tuple(a - b for a, b in zip(nu, mu))]
-    m2 = realize_quadratic(p1, p0)
-    return block_diag([m6, m2])
+    p0, p1, _ = _class_poly([a - b for a, b in zip(nu, mu)])
+    return block_diag([m6, realize_quadratic(p1, p0)])

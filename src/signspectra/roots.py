@@ -304,10 +304,14 @@ def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     The error is computed once per conjugate pair, at the root above the
     axis: the stored pairs are exact conjugates and the coefficients are
     real, so the root below has bitwise the same error (see the module
-    docstring), and the bound holds for it too.
+    docstring), and the bound holds for it too.  tol must be positive and
+    finite, or ValueError is raised: at inf every root would snap onto the
+    real axis and pass the certificate.
     """
     if p.degree < 1:
         raise ValueError("cannot extract roots of a constant polynomial")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if p.backend == "rational" and p.degree <= _SQUAREFREE_DEGREE_CAP:
         factors = _squarefree_factors(p)
     else:

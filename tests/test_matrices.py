@@ -75,6 +75,8 @@ def test_matrix_from_dict_errors():
         matrix_from_dict({"n": 3, "entries": [[1.0]]})
     with pytest.raises(ValueError, match="zero denominator"):
         matrix_from_dict({"entries": [["1/0"]]})
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        RationalMatrix.from_rows([["1/0"]])
     with pytest.raises(ValueError, match=r"entry \(1, 0\) is too large for a float; a quoted string"):
         matrix_from_dict({"entries": [[1.0, 0.0], [10**400, 1.0]]})
     exact = matrix_from_dict({"entries": [[1, 0], [str(10**400), 1]]})

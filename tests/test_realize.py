@@ -621,13 +621,14 @@ def test_realize_inertia_spot_checks():
 def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch):
     # The 95 tuples of total 8 are the whole domain of realize_subinertia and
     # realize_inertia.  Over it, some cubic split always fits, the doubling
-    # of the cubic scale N stops by N = 8, and every leftover nu - mu is a
-    # key of _DELTA_QUADS, so none of these needs a fallback.
+    # of the cubic scale N stops by N = 8, and every leftover nu - mu is one
+    # of seven tuples, so none of these needs a fallback.
     gate = realize.violates_sextic_gate
     calls = []
     monkeypatch.setattr(realize, "violates_sextic_gate", lambda p: calls.append(p) or gate(p))
     paths = Counter()
     leftovers = Counter()
+    quads = {}
     for nu in _all_inertia_tuples(8):
         calls.clear()
         mu, _ = realize_subinertia(nu)
@@ -638,7 +639,11 @@ def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch
             paths["even sextic"] += 1
         else:
             paths[f"N = {2 ** (len(calls) - 2)}"] += 1
-        leftovers[tuple(a - b for a, b in zip(nu, mu))] += 1
+        leftover = tuple(a - b for a, b in zip(nu, mu))
+        leftovers[leftover] += 1
+        # the 2x2 block's char poly t**2 + p1*t + p0, from its trace and det
+        (a11, a12), (a21, a22) = (row[6:] for row in realize_inertia(nu).entries[6:])
+        quads.setdefault(leftover, set()).add((-(a11 + a22), a11 * a22 - a12 * a21))
     assert paths == {"even sextic": 25, "N = 1": 37, "N = 2": 17, "N = 4": 12, "N = 8": 4}
     assert leftovers == {
         (0, 0, 2, 0): 26,
@@ -649,7 +654,16 @@ def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch
         (1, 0, 1, 0): 8,
         (0, 1, 1, 0): 8,
     }
-    assert leftovers.keys() == realize._DELTA_QUADS.keys()
+    # each leftover gets one quadratic (p1, p0): one root per eigenvalue class
+    assert quads == {
+        (0, 0, 2, 0): {(0, 0)},
+        (0, 0, 0, 1): {(0, 1)},
+        (1, 1, 0, 0): {(0, -1)},
+        (2, 0, 0, 0): {(-2, 1)},
+        (0, 2, 0, 0): {(2, 1)},
+        (1, 0, 1, 0): {(-1, 0)},
+        (0, 1, 1, 0): {(1, 0)},
+    }
 
 
 def test_realize_inertia_validation():

@@ -361,6 +361,20 @@ def test_find_roots_rejects_constants():
         find_roots(Polynomial((1,)))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_find_roots_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # at inf the pair ±i√5 would snap onto the axis and certify as a double 0
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        find_roots(Polynomial((5.0, 0.0, 1.0)), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        refined_inertia_of(realize_inertia((3, 3, 0, 1)), tol=tol)
+
+
+def test_find_roots_keeps_a_finite_tolerance_of_one_or_more():
+    # allowed, so a classification echo can report the miss itself
+    assert refined_inertia_of(realize_inertia((3, 3, 0, 1)), tol=10.0) == RefinedInertia(0, 0, 8, 0)
+
+
 def test_backward_error_measures_perturbation():
     coeffs = [2.0, -3.0, 1.0]  # (t-1)(t-2)
     assert backward_error(coeffs, 1.0 + 0j) == 0.0
