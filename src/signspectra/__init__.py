@@ -27,7 +27,6 @@ from .poly import (
 from .realize import (
     GateError,
     RealizationReport,
-    TemplateParams,
     TripleSelection,
     realize_even_sextic,
     realize_inertia,
@@ -36,7 +35,7 @@ from .realize import (
     realize_sextic,
     realize_subinertia,
     select_triple,
-    template_matrix,
+    violates_sextic_gate,
 )
 from .roots import (
     KERNEL,
@@ -51,7 +50,6 @@ from .roots import (
 from .verify import (
     DivisorObstructionReport,
     IdentityCheckReport,
-    SuiteConfig,
     TheoremReport,
     check_divisor_obstruction,
     check_identity,
@@ -59,7 +57,6 @@ from .verify import (
     run_theorem_suite,
     sample_conforming_matrix,
     verify_realization,
-    violates_sextic_gate,
 )
 
 __version__ = "0.1.0"
@@ -80,8 +77,6 @@ __all__ = [
     "RootMultiset",
     "Sign",
     "SignPattern",
-    "SuiteConfig",
-    "TemplateParams",
     "TheoremReport",
     "TripleSelection",
     "backward_error",
@@ -111,7 +106,6 @@ __all__ = [
     "run_theorem_suite",
     "sample_conforming_matrix",
     "select_triple",
-    "template_matrix",
     "verify_realization",
     "violates_sextic_gate",
     "__version__",

@@ -22,7 +22,7 @@ from .patterns import builtin_pattern
 from .poly import polynomial_from_dict
 from .realize import realize_inertia, realize_poly, select_triple, zero_class_tol
 from .roots import RootFindingError, find_roots, refined_inertia_of, roots_to_quadratics
-from .verify import SuiteConfig, check_divisor_obstruction, check_identity, run_theorem_suite
+from .verify import check_divisor_obstruction, check_identity, run_theorem_suite
 
 
 def _load_poly(fh):
@@ -155,7 +155,7 @@ def verify(which, samples, seed, tol):
         result["divisors"] = obstruction.to_dict()
         passed["divisors"] = obstruction.passed
     if which in ("theorem", "all"):
-        suite = run_theorem_suite(SuiteConfig(seed=seed, tol=tol, identity_samples=samples))
+        suite = run_theorem_suite(seed=seed, tol=tol, identity_samples=samples)
         result["theorem"] = suite.to_dict()
         passed["theorem"] = suite.passed
     failed = [name for name, ok in passed.items() if not ok]

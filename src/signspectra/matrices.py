@@ -125,12 +125,15 @@ class FloatMatrix(_Square):
         return {"n": self.n, "entries": [list(row) for row in self.entries]}
 
 
-def parse_rational(value) -> Fraction:
+def parse_rational(value, where: str) -> Fraction:
     """Exact value of one JSON entry on the rational backend.
 
     Strings like "3" or "-2/7" and integer-valued numbers are accepted;
-    anything else, and a zero denominator, raise ValueError.
+    anything else, a boolean and a zero denominator among them, raises
+    ValueError.  where names the entry in the boolean's error.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{where} is a boolean, not a number")
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, (str, int)):
@@ -140,6 +143,8 @@ def parse_rational(value) -> Fraction:
 
 def _as_float(value, where: str) -> float:
     # one JSON number on the float backend; where names it in the error
+    if isinstance(value, bool):
+        raise ValueError(f"{where} is a boolean, not a number")
     try:
         return float(value)
     except OverflowError:
@@ -156,18 +161,16 @@ def matrix_from_dict(data: dict):
     rational backend, in which case integer-valued numbers are accepted
     exactly and non-integer numbers are rejected as ambiguous.  On the float
     backend an integer beyond the double range raises ValueError naming the
-    entry.
+    entry, and so does a boolean on either backend.
     """
     entries = data["entries"]
     if any(isinstance(e, str) for row in entries for e in row):
-        matrix = RationalMatrix.from_rows([[parse_rational(e) for e in row] for row in entries])
+        parse, cls = parse_rational, RationalMatrix
     else:
-        matrix = FloatMatrix.from_rows(
-            [
-                [_as_float(e, f"entry ({i}, {j})") for j, e in enumerate(row)]
-                for i, row in enumerate(entries)
-            ]
-        )
+        parse, cls = _as_float, FloatMatrix
+    matrix = cls.from_rows(
+        [[parse(e, f"entry ({i}, {j})") for j, e in enumerate(row)] for i, row in enumerate(entries)]
+    )
     if "n" in data and data["n"] != matrix.n:
         raise ValueError(f"declared order {data['n']} does not match {matrix.n} rows")
     return matrix

@@ -111,11 +111,11 @@ class Polynomial:
 
 def polynomial_from_dict(data: dict) -> Polynomial:
     """Parse {"coeffs": [...]}; any string coefficient selects the rational
-    backend, and otherwise every coefficient is read as a float."""
+    backend, and otherwise every coefficient is read as a float.  A boolean
+    coefficient raises ValueError naming it."""
     raw = data["coeffs"]
-    if any(isinstance(c, str) for c in raw):
-        return Polynomial(tuple(parse_rational(c) for c in raw))
-    return Polynomial(tuple(_as_float(c, f"coefficient {i}") for i, c in enumerate(raw)))
+    parse = parse_rational if any(isinstance(c, str) for c in raw) else _as_float
+    return Polynomial(tuple([parse(c, f"coefficient {i}") for i, c in enumerate(raw)]))
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:

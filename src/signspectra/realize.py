@@ -54,45 +54,6 @@ class GateError(ValueError):
     """Degree-6 target that violates the gate: a3 and a5 neither both zero nor of positive ratio."""
 
 
-@dataclass(frozen=True)
-class TemplateParams:
-    """The nine positive scalars that instantiate the 6x6 template."""
-
-    x1: object
-    x2: object
-    x3: object
-    x4: object
-    x5: object
-    x6: object
-    x7: object
-    x8: object
-    x9: object
-
-    def astuple(self) -> tuple:
-        return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6, self.x7, self.x8, self.x9)
-
-    def all_positive(self) -> bool:
-        return all(x > 0 for x in self.astuple())
-
-
-def template_matrix(params: TemplateParams):
-    """Instantiate the template; rational for Fraction parameters, float otherwise."""
-    x1, x2, x3, x4, x5, x6, x7, x8, x9 = params.astuple()
-    rational = isinstance(x1, Fraction)
-    one = Fraction(1) if rational else 1.0
-    o = Fraction(0) if rational else 0.0
-    rows = [
-        [x1, one, o, o, o, o],
-        [-x4, -x2, one, o, o, o],
-        [o, o, o, one, o, o],
-        [o, o, o, o, one, o],
-        [-x6, -x5, o, o, o, one],
-        [x7, x8, x9, o, -x3, o],
-    ]
-    cls = RationalMatrix if rational else FloatMatrix
-    return cls.from_rows(rows)
-
-
 def _coerce(value, backend: str):
     if backend == "rational":
         return Fraction(value)
@@ -127,7 +88,7 @@ def violates_sextic_gate(p: Polynomial) -> bool:
     return (a3 > 0) - (a3 < 0) != (a5 > 0) - (a5 < 0)
 
 
-def _sextic_params(a, x3, one):
+def _sextic_params(a, x3, one) -> tuple:
     # margins formed directly so floats cannot cancel them below 1; over the
     # rationals x2 = a5 + x1, x5 = k5 + x9, x6 = u + x8 and x7 = x1*x8 - w
     a0, a1, a2, a4, a5 = a[0], a[1], a[2], a[4], a[5]
@@ -145,17 +106,29 @@ def _sextic_params(a, x3, one):
     x8 = max(one, one - u, v)
     x6 = max(one, u + one, u + v)
     x7 = max(one, x1 - w, x1 * (one - u) - w)
-    return TemplateParams(x1, x2, x3, x4, x5, x6, x7, x8, x9)
+    return x1, x2, x3, x4, x5, x6, x7, x8, x9
 
 
 def realize_sextic(target: Polynomial):
     """Matrix over pattern T matching a monic degree-6 target that passes the gate.
 
-    Exact on the rational backend.  x3 is a3/a5, or 1 when a3 = a5 = 0, and
-    the other eight follow in one closed-form pass.  Raises GateError exactly
-    when violates_sextic_gate holds: such sextics admit no realization over T.
-    A float parameter that rounding leaves nonpositive or non-finite (x3
-    underflow, x4 cancellation, overflow) raises ArithmeticError naming it.
+    The matrix is the template with nine positive entries x1..x9, each at an
+    entry of T that has its sign, so it conforms to T:
+
+        [[ x1,   1,  0, 0,   0, 0],
+         [-x4, -x2,  1, 0,   0, 0],
+         [  0,   0,  0, 1,   0, 0],
+         [  0,   0,  0, 0,   1, 0],
+         [-x6, -x5,  0, 0,   0, 1],
+         [ x7,  x8, x9, 0, -x3, 0]]
+
+    It is built on the target's backend: a RationalMatrix, exact, for a
+    rational target and a FloatMatrix for a float one.  x3 is a3/a5, or 1
+    when a3 = a5 = 0, and the other eight follow in one closed-form pass.
+    Raises GateError exactly when violates_sextic_gate holds: such sextics
+    admit no realization over T.  A float parameter that rounding leaves
+    nonpositive or non-finite (x3 underflow, x4 cancellation, overflow)
+    raises ArithmeticError naming it.
     """
     if violates_sextic_gate(target):
         raise GateError(
@@ -166,10 +139,22 @@ def realize_sextic(target: Polynomial):
     one = _coerce(1, target.backend)
     x3 = one if a[5] == 0 else a[3] / a[5]
     params = _sextic_params(a, x3, one)
-    for k, x in enumerate(params.astuple(), start=1):
+    for k, x in enumerate(params, start=1):
         if not 0 < x < math.inf:
             raise ArithmeticError(f"template parameter x{k} = {x} is not positive and finite")
-    return params, template_matrix(params)
+    x1, x2, x3, x4, x5, x6, x7, x8, x9 = params
+    o = one - one
+    cls = RationalMatrix if target.backend == "rational" else FloatMatrix
+    return cls.from_rows(
+        [
+            [x1, one, o, o, o, o],
+            [-x4, -x2, one, o, o, o],
+            [o, o, o, one, o, o],
+            [o, o, o, o, one, o],
+            [-x6, -x5, o, o, o, one],
+            [x7, x8, x9, o, -x3, o],
+        ]
+    )
 
 
 def _sextic_target(quads, backend: str) -> Polynomial:
@@ -338,7 +323,7 @@ def realize_poly(
         sel = select_triple(quads, eps_zero)
         quads = list(sel.rest)
         perturbation += sel.snapped
-        t_blocks.append(realize_sextic(_sextic_target(sel.triple, backend))[1])
+        t_blocks.append(realize_sextic(_sextic_target(sel.triple, backend)))
     d_blocks = [realize_quadratic(q.a, q.b, backend=backend) for q in quads]
 
     if arrangement == "grouped":
@@ -419,8 +404,7 @@ def realize_subinertia(nu) -> tuple:
         mi = min(nu.n_imag, 3)
         m0 = 6 - 2 * mi
         vals = ((2, 3, 5)[:mi] + (0, 0, 0))[:3]
-        _, matrix = realize_even_sextic(*vals)
-        return RefinedInertia(0, 0, m0, mi), matrix
+        return RefinedInertia(0, 0, m0, mi), realize_even_sextic(*vals)
 
     # drop an imaginary pair; otherwise two eigenvalues one at a time, a zero
     # first, else one from the larger real side (ties go to plus)
@@ -447,8 +431,7 @@ def realize_subinertia(nu) -> tuple:
     n = 1
     while violates_sextic_gate(target := Polynomial(tuple(_convolve([c3 * n**3, c2 * n**2, c1 * n, 1], h)))):
         n *= 2
-    _, matrix = realize_sextic(target)
-    return mu, matrix
+    return mu, realize_sextic(target)
 
 
 def realize_inertia(nu):

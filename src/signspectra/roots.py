@@ -60,6 +60,12 @@ class RootFindingError(RuntimeError):
         self.residual = residual
 
 
+def _check_tol(tol) -> None:
+    # at inf every root would snap onto the real axis, and NaN fails every comparison
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 @dataclass(frozen=True)
 class RootMultiset:
     """Roots with multiplicity (repeated entries), exactly closed under conjugation.
@@ -67,14 +73,16 @@ class RootMultiset:
     Every root must be finite.  A root with |Im| <= tol is stored on the real
     axis; every other root must come with its exact conjugate, as LAPACK's
     dgeev returns a complex pair (wr + i*wi, wr - i*wi) and the closed forms
-    build theirs from one value.  Anything else raises ValueError.  Stored
-    sorted by (Re, Im), a pair as the root above the axis and its conjugate.
+    build theirs from one value.  Anything else, and a tol that is not
+    positive and finite, raises ValueError.  Stored sorted by (Re, Im), a
+    pair as the root above the axis and its conjugate.
     """
 
     roots: tuple
     tol: float
 
     def __post_init__(self):
+        _check_tol(self.tol)
         closed = []  # the real roots first, then the pairs
         upper = []
         partners = []  # the conjugates of the roots below the axis
@@ -310,8 +318,7 @@ def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     """
     if p.degree < 1:
         raise ValueError("cannot extract roots of a constant polynomial")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if p.backend == "rational" and p.degree <= _SQUAREFREE_DEGREE_CAP:
         factors = _squarefree_factors(p)
     else:

@@ -370,6 +370,15 @@ def test_zero_denominator_is_a_usage_error():
         assert "Traceback" not in result.output + result.stderr
 
 
+def test_boolean_coefficient_is_a_usage_error():
+    for blob in ('{"coeffs": [true, false, true]}', '{"coeffs": ["1", true, "1"]}'):
+        result = run("factor", "-", input=blob)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid polynomial input" in result.stderr and "is a boolean, not a number" in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+
+
 def test_oversized_integer_coefficient_is_a_usage_error():
     blob = json.dumps({"coeffs": [10**400, 0, 1]})
     for args in (("factor", "-"), ("realize", "-", "--t", "0", "--d", "5")):

@@ -79,6 +79,11 @@ def test_matrix_from_dict_errors():
         RationalMatrix.from_rows([["1/0"]])
     with pytest.raises(ValueError, match=r"entry \(1, 0\) is too large for a float; a quoted string"):
         matrix_from_dict({"entries": [[1.0, 0.0], [10**400, 1.0]]})
+    # JSON booleans are not numbers on either backend
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is a boolean, not a number"):
+        matrix_from_dict({"entries": [[True, 0.5], [1.0, False]]})
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) is a boolean, not a number"):
+        matrix_from_dict({"entries": [["1", 0], [True, "1"]]})
     exact = matrix_from_dict({"entries": [[1, 0], [str(10**400), 1]]})
     assert isinstance(exact, RationalMatrix)
     assert exact[1, 0] == 10**400

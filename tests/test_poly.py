@@ -92,6 +92,11 @@ def test_polynomial_from_dict():
     with pytest.raises(ValueError, match="coefficient 0 is too large for a float; a quoted string"):
         polynomial_from_dict({"coeffs": [10**400, 0, 1]})
     assert polynomial_from_dict({"coeffs": [str(10**400), 0, 1]}).coeffs[0] == 10**400
+    # a JSON boolean is not a number on either backend
+    with pytest.raises(ValueError, match="coefficient 0 is a boolean, not a number"):
+        polynomial_from_dict({"coeffs": [True, False, True]})
+    with pytest.raises(ValueError, match="coefficient 1 is a boolean, not a number"):
+        polynomial_from_dict({"coeffs": ["1", True, "1"]})
     for p in (f, r):
         assert polynomial_from_dict(p.to_dict()) == p
 
@@ -125,7 +130,7 @@ def test_char_poly_small_cases():
 
 
 def test_char_poly_even_sextic_realization_exact():
-    _, m = realize_even_sextic(1, 2, 3)
+    m = realize_even_sextic(1, 2, 3)
     expected = poly_mul(poly_mul(Polynomial((1, 0, 1)), Polynomial((2, 0, 1))), Polynomial((3, 0, 1)))
     assert char_poly(m) == expected
     assert charpoly_by_cofactors(m) == expected

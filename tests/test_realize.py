@@ -17,7 +17,6 @@ from signspectra import (
     Quadratic,
     RationalMatrix,
     RefinedInertia,
-    TemplateParams,
     builtin_pattern,
     char_poly,
     coefficient_residual,
@@ -32,7 +31,6 @@ from signspectra import (
     realize_subinertia,
     refined_inertia_of,
     select_triple,
-    template_matrix,
     verify_realization,
     violates_sextic_gate,
 )
@@ -58,16 +56,27 @@ def even_sextic_target(b, c, d):
 # --- 6x6 template -----------------------------------------------------------
 
 
-def test_template_matrix_backends():
-    params = TemplateParams(*(Fraction(k) for k in range(1, 10)))
-    assert isinstance(template_matrix(params), RationalMatrix)
-    params = TemplateParams(*(float(k) for k in range(1, 10)))
-    assert isinstance(template_matrix(params), FloatMatrix)
+def template_params(m):
+    # x1..x9 read back from their template entries (see realize_sextic)
+    return (m[0, 0], -m[1, 1], -m[5, 4], -m[1, 0], -m[4, 1], -m[4, 0], m[5, 0], m[5, 1], m[5, 2])
 
 
-def test_template_conforms_for_positive_params():
-    params = TemplateParams(*(Fraction(k) for k in range(1, 10)))
-    assert conforms(template_matrix(params), T)
+def test_realize_sextic_builds_on_the_target_backend():
+    target = even_sextic_target(1, 2, 3)
+    assert isinstance(realize_sextic(target), RationalMatrix)
+    assert isinstance(realize_sextic(target.to_float()), FloatMatrix)
+
+
+def test_realize_sextic_puts_each_parameter_at_its_template_entry():
+    sextics = (product([Polynomial((k, 1, 1)) for k in (1, 2, 3)]), even_sextic_target(1, 2, 3))
+    for target in sextics + tuple(p.to_float() for p in sextics):
+        a = target.coeffs
+        one = Fraction(1) if target.backend == "rational" else 1.0
+        x3 = one if a[5] == 0 else a[3] / a[5]
+        m = realize_sextic(target)
+        assert template_params(m) == realize._sextic_params(a, x3, one)
+        assert [m[i, i + 1] for i in range(5)] == [1] * 5
+        assert conforms(m, T)
 
 
 def test_realize_even_sextic_frozen_examples():
@@ -77,8 +86,7 @@ def test_realize_even_sextic_frozen_examples():
         ((-1, 1, 0), (0, 0, -1, 0, 0, 0, 1)),
     ]
     for (b, c, d), coeffs in cases:
-        params, m = realize_even_sextic(b, c, d)
-        assert params.all_positive()
+        m = realize_even_sextic(b, c, d)
         assert conforms(m, T)
         cp = char_poly(m)
         assert cp == Polynomial(coeffs)
@@ -88,8 +96,7 @@ def test_realize_even_sextic_frozen_examples():
 
 def test_realize_even_sextic_negative_inputs():
     # all-real eigenvalue case: (t**2-4)(t**2-9)(t**2-16)
-    params, m = realize_even_sextic(-4, -9, -16)
-    assert params.all_positive()
+    m = realize_even_sextic(-4, -9, -16)
     assert conforms(m, T)
     assert char_poly(m) == even_sextic_target(-4, -9, -16)
     assert refined_inertia_of(m) == RefinedInertia(3, 3, 0, 0)
@@ -97,9 +104,9 @@ def test_realize_even_sextic_negative_inputs():
 
 def test_realize_even_sextic_float_backend():
     target = even_sextic_target(1, 2, 3).to_float()
-    params, m = realize_sextic(target)
+    m = realize_sextic(target)
     assert isinstance(m, FloatMatrix)
-    assert params.all_positive()
+    assert conforms(m, T)
     assert coefficient_residual(char_poly(m), target) <= 1e-12
 
 
@@ -107,8 +114,7 @@ def test_realize_even_sextic_random_exact():
     rng = random.Random(20240818)
     for _ in range(25):
         b, c, d = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))
-        params, m = realize_even_sextic(b, c, d)
-        assert params.all_positive()
+        m = realize_even_sextic(b, c, d)
         assert conforms(m, T)
         assert char_poly(m) == even_sextic_target(b, c, d)
 
@@ -119,8 +125,7 @@ def test_realize_even_sextic_random_exact():
 def test_realize_sextic_frozen_example():
     target = product([Polynomial((k, 1, 1)) for k in (1, 2, 3)])
     assert target.coeffs == tuple(Fraction(c) for c in (6, 11, 17, 13, 9, 3, 1))
-    params, m = realize_sextic(target)
-    assert params.all_positive()
+    m = realize_sextic(target)
     assert conforms(m, T)
     assert char_poly(m) == target
     assert charpoly_by_cofactors(m) == target
@@ -129,21 +134,20 @@ def test_realize_sextic_frozen_example():
 def test_realize_sextic_repeated_real_root():
     target = product([Polynomial((1, 1))] * 6)  # (t+1)**6
     assert target.coeffs == tuple(Fraction(c) for c in (1, 6, 15, 20, 15, 6, 1))
-    _, m = realize_sextic(target)
+    m = realize_sextic(target)
     assert char_poly(m) == target
     assert refined_inertia_of(m) == RefinedInertia(0, 6, 0, 0)
 
 
 def test_realize_sextic_negative_a5():
     target = product([Polynomial((-1, 1))] * 6)  # (t-1)**6, a5 = -6, a3 = -20
-    _, m = realize_sextic(target)
+    m = realize_sextic(target)
     assert conforms(m, T)
     assert char_poly(m) == target
 
 
 def assert_realizes_sextic(target):
-    params, m = realize_sextic(target)
-    assert params.all_positive()
+    m = realize_sextic(target)
     assert conforms(m, T)
     assert char_poly(m) == target
     assert charpoly_by_cofactors(m) == target
@@ -181,13 +185,12 @@ def test_realize_sextic_raises_exactly_on_the_gate():
             with pytest.raises(GateError):
                 realize_sextic(target)
         else:
-            params, m = realize_sextic(target)
-            assert params.all_positive()
+            m = realize_sextic(target)
             assert conforms(m, T)
             assert char_poly(m) == target
             # the one-pass margins equal the substituted closed forms exactly
             a0, a1, a2, _, a4, a5 = coeffs
-            x1, x2, x3, _, x5, x6, x7, x8, x9 = params.astuple()
+            x1, x2, x3, _, x5, x6, x7, x8, x9 = template_params(m)
             k5 = x3 * x3 - a4 * x3 + a2
             u = a1 + x1 * x5 + a5 * x9
             w = a0 - x9 * (x3 - a4)
@@ -212,10 +215,9 @@ def test_realize_sextic_float_margins_survive_cancellation():
     # sextic; the direct margins keep the rational x1 and a tiny residual
     quads = ((1651.423, 841261.755), (1595.815, 660342.651), (1237.262, 958337.488))
     target = product([Polynomial((b, a, 1.0)) for a, b in quads])
-    params, m = realize_sextic(target)
-    assert params.all_positive()
-    assert all(math.isfinite(x) for x in params.astuple())
-    assert params.x1 == 4485.5
+    m = realize_sextic(target)
+    assert all(math.isfinite(x) for x in template_params(m))
+    assert template_params(m)[0] == 4485.5
     assert conforms(m, T)
     assert _charpoly_residual(m, target) <= 1e-13
 
@@ -228,8 +230,8 @@ def test_gate_compares_signs_without_float_underflow():
     assert not violates_sextic_gate(target.lift())
     with pytest.raises(ArithmeticError, match="x3 = 0.0"):
         realize_sextic(target)
-    params, m = realize_sextic(target.lift())
-    assert params.all_positive()
+    m = realize_sextic(target.lift())
+    assert conforms(m, T)
     assert char_poly(m) == target.lift()
 
 
@@ -247,10 +249,10 @@ def test_realize_sextic_float_sign_homogeneous_triples(sign, quads):
     target = product([Polynomial((b, sign * a, 1.0)) for a, b in quads])
     assert not violates_sextic_gate(target)
     try:
-        params, m = realize_sextic(target)
+        m = realize_sextic(target)
     except ArithmeticError:
         return
-    assert all(0 < x < math.inf for x in params.astuple())
+    assert all(0 < x < math.inf for x in template_params(m))
     assert conforms(m, T)
 
 
@@ -264,8 +266,7 @@ def test_realize_sextic_random_exact():
             continue
         count += 1
         target = Polynomial(tuple(coeffs) + (Fraction(1),))
-        params, m = realize_sextic(target)
-        assert params.all_positive()
+        m = realize_sextic(target)
         assert conforms(m, T)
         assert char_poly(m) == target
 
@@ -629,7 +630,7 @@ def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch
     paths = Counter()
     leftovers = Counter()
     quads = {}
-    for nu in _all_inertia_tuples(8):
+    for nu in _all_inertia_tuples():
         calls.clear()
         mu, _ = realize_subinertia(nu)
         # realize_sextic checks the gate once on the sextic it is given: that

@@ -370,6 +370,14 @@ def test_find_roots_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
         refined_inertia_of(realize_inertia((3, 3, 0, 1)), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_root_multiset_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # at inf the pair 1 ± 2i would be stored as the double root 1, and
+    # roots_to_quadratics would return t**2 for (t - 1)**2 + 4
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        RootMultiset((1 + 2j, 1 - 2j), tol)
+
+
 def test_find_roots_keeps_a_finite_tolerance_of_one_or_more():
     # allowed, so a classification echo can report the miss itself
     assert refined_inertia_of(realize_inertia((3, 3, 0, 1)), tol=10.0) == RefinedInertia(0, 0, 8, 0)
@@ -606,7 +614,7 @@ def test_refined_inertia_of_diagonal():
 
 
 def test_refined_inertia_of_even_sextic_realization():
-    _, m = realize_even_sextic(1, 2, 3)
+    m = realize_even_sextic(1, 2, 3)
     assert refined_inertia_of(m) == RefinedInertia(0, 0, 0, 3)
 
 

@@ -13,7 +13,6 @@ from signspectra import (
     RationalMatrix,
     RealizationReport,
     Sign,
-    SuiteConfig,
     block_diag,
     builtin_pattern,
     char_poly,
@@ -269,13 +268,13 @@ def test_traceless_sample_is_never_nilpotent():
 
 def test_nilpotent_realization_exists_without_the_extra_entry():
     # over T the all-zero even sextic realization is genuinely nilpotent
-    _, m = realize_even_sextic(0, 0, 0)
+    m = realize_even_sextic(0, 0, 0)
     assert conforms(m, builtin_pattern("T"))
     assert char_poly(m) == T6
 
 
 def test_nilpotence_is_blockwise():
-    _, nil6 = realize_even_sextic(0, 0, 0)
+    nil6 = realize_even_sextic(0, 0, 0)
     nil2 = RationalMatrix.from_rows([[0, 1], [0, 0]])
     dense2 = RationalMatrix.from_rows([[1, 2], [3, 4]])
     assert char_poly(block_diag([nil6, nil2])) == Polynomial((0,) * 8 + (1,))
@@ -420,8 +419,7 @@ def test_verify_realization_float_report():
 
 
 def test_run_theorem_suite_light():
-    config = SuiteConfig(seed=0, identity_samples=120)
-    report = run_theorem_suite(config)
+    report = run_theorem_suite(seed=0, tol=1e-8, identity_samples=120)
     assert report.passed
 
     part1 = report.part1
@@ -430,6 +428,10 @@ def test_run_theorem_suite_light():
     assert part1.realization_count == 20
     assert part1.worst_residual <= part1.residual_bound
     assert part1.identity_report.all_passed
+    # the arguments reach part 1; the identities are drawn at seed + 1
+    assert part1.identity_report.samples == 120
+    assert part1.identity_report.seed == 1
+    assert part1.residual_bound == 10 * 1e-8 * 16
     assert part1.nilpotence_lift_ok
     assert "sampled" in part1.evidence_kind
 
