@@ -109,16 +109,23 @@ def realize(poly, t, d, tol, backend):
 @click.argument("n_minus", type=int)
 @click.argument("n_zero", type=int)
 @click.argument("n_imag", type=int)
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Classification tolerance for the echo check.")
+@click.option(
+    "--tol",
+    type=float,
+    default=1e-9,
+    show_default=True,
+    help="Accepted and checked, but unused: the exact matrix is classified exactly.",
+)
 def inertia(n_plus, n_minus, n_zero, n_imag, tol):
     """Build an 8x8 matrix over diag(T, D) with the requested refined inertia.
 
     The four arguments count eigenvalues with positive real part, negative
     real part, zero, and purely imaginary conjugate pairs; they must satisfy
-    N_PLUS + N_MINUS + N_ZERO + 2*N_IMAG = 8.  Exits 1 when the refined
-    inertia classified at --tol differs from the request.
+    N_PLUS + N_MINUS + N_ZERO + 2*N_IMAG = 8.  The matrix is rational, and
+    its refined inertia is classified exactly, with no tolerance; exits 1
+    when the classification differs from the request.
     """
-    # a tol of 1 or more stays allowed: a wrong classification fails the echo
+    # --tol is still checked: a non-positive or non-finite value is a usage error
     _check_tol(tol, below_one=False)
     nu = (n_plus, n_minus, n_zero, n_imag)
     matrix = realize_inertia(nu)

@@ -27,6 +27,8 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
+        if isinstance(value, bool):  # an int to isinstance, but not a number here
+            raise TypeError("rational entries must be int, str or Fraction, got bool")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -107,6 +109,9 @@ class FloatMatrix(_Square):
 
     @staticmethod
     def _row(row) -> tuple:
+        # a bool is an int to float(); one C-level scan of the types finds it
+        if bool in map(type, row):
+            raise TypeError("float entries must be numbers, got bool")
         # hot-path tuples are built from lists: a tuple built from a generator
         # is over-allocated and shrunk, and the shrunk tuples pile up on
         # CPython's per-size free lists, raising peak memory

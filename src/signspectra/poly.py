@@ -33,7 +33,10 @@ _FLOAT_MONIC_SLACK = 1e-12
 
 def _normalize_coeffs(coeffs):
     # A single float commits the whole polynomial to the float backend;
-    # otherwise ints are taken exactly as rationals.
+    # otherwise ints are taken exactly as rationals.  A bool is an int to
+    # isinstance, so it is rejected first.
+    if bool in map(type, coeffs):
+        raise TypeError("coefficients must be numbers, got bool")
     if any(isinstance(c, float) for c in coeffs):
         if not all(isinstance(c, (float, int)) for c in coeffs):
             raise TypeError("cannot mix float and Fraction coefficients")

@@ -29,8 +29,19 @@ each of its steps at z (negating a part is exact and IEEE rounding is
 symmetric), and |z-bar| = |z|; the backward error at z-bar is the same
 double, or NaN at both.
 
+The refined inertia of a RationalMatrix is counted exactly, with no root and
+no tolerance: on its integer characteristic polynomial, a gcd splits off the
+roots z whose negative -z is a root too (the imaginary axis among them), a
+Sturm count of that gcd's negative roots in t**2 gives the imaginary pairs,
+and the Cauchy index of the cofactor along the imaginary axis gives the
+difference of the two half-planes (Routh-Hurwitz; Gantmacher, Theory of
+Matrices, vol. 2, ch. XV).  One sign-preserving pseudo-remainder serves the
+gcd and both Sturm sequences, and one integer Yun split serves this count and
+_squarefree_factors.  A FloatMatrix is classified from find_roots at tol.
+
 numpy is imported on the first companion-matrix solve, not with the module:
-the exact certificates and the closed forms never load it.
+the exact certificates, the exact refined inertia and the closed forms never
+load it.
 """
 
 from __future__ import annotations
@@ -42,7 +53,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import Polynomial, Quadratic, _over_common_denominator, char_poly
+from .matrices import RationalMatrix
+from .poly import (
+    Polynomial,
+    Quadratic,
+    _charpoly_scaled,
+    _diagonal_blocks,
+    _over_common_denominator,
+    char_poly,
+)
 
 # The one root kernel: companion-matrix eigenvalues through numpy.
 KERNEL = "numpy"
@@ -182,6 +201,23 @@ def _primitive(p: list) -> list:
     return [c // g for c in p]
 
 
+def _zprem(a: list, b: list) -> list:
+    # a positive multiple of the remainder of a by b (b nonzero, no leading
+    # zero), trimmed; each step scales by |lb| / gcd(lb, lead) > 0 only, so
+    # the sign is kept for a Sturm sequence
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        lr = r.pop()
+        if lr:
+            g = math.gcd(lb, lr)
+            s, t, k = abs(lb) // g, (lr if lb > 0 else -lr) // g, len(r) - db
+            r = [s * c for c in r]
+            for j in range(db):
+                r[k + j] -= t * b[j]
+    return _ztrim(r) if r else [0]
+
+
 def _zgcd(a: list, b: list) -> list:
     """Primitive gcd of two integer polynomials (a nonzero, no leading zero)
     with a positive leading coefficient, by the primitive pseudo-remainder
@@ -192,18 +228,7 @@ def _zgcd(a: list, b: list) -> list:
         b = _primitive(b)
         if len(b) == 1:
             return [1]
-        r = list(a)
-        lb, db = b[-1], len(b) - 1
-        # pseudo-remainder, each step scaled only by lb / gcd(lb, lead)
-        while len(r) > db:
-            lr = r.pop()
-            if lr:
-                g = math.gcd(lb, lr)
-                s, t, k = lb // g, lr // g, len(r) - db
-                r = [s * c for c in r]
-                for j in range(db):
-                    r[k + j] -= t * b[j]
-        a, b = b, _ztrim(r)
+        a, b = b, _zprem(a, b)
     return a
 
 
@@ -237,19 +262,14 @@ def _zsub(a: list, b: list) -> list:
     return _ztrim(out)
 
 
-def _squarefree_factors(p: Polynomial) -> list:
-    """Decompose a monic rational polynomial into (squarefree factor, multiplicity).
-
-    Yun's algorithm on the primitive integer polynomial with p's roots: the
-    denominators are cleared once, every gcd is primitive with a positive
-    leading coefficient, and every quotient is an exact integer division.
-    Factors come back monic, in increasing multiplicity.
-    """
-    a = _primitive(_over_common_denominator(p.coeffs)[0])
+def _zyun(a: list) -> list:
+    # Yun's split of a primitive integer polynomial into (squarefree factor,
+    # multiplicity), in increasing multiplicity: every gcd is primitive with a
+    # positive leading coefficient and every quotient an exact integer division
     da = _zderivative(a)
     g = _zgcd(a, da)
     if len(g) == 1:
-        return [(p, 1)]
+        return [(a, 1)]
     b = _zdiv_exact(a, g)
     d = _zsub(_zdiv_exact(da, g), _zderivative(b))
     out = []
@@ -257,13 +277,94 @@ def _squarefree_factors(p: Polynomial) -> list:
     while len(b) > 1:
         ai = _zgcd(b, d)
         if len(ai) > 1:
-            lead = ai[-1]
-            out.append((Polynomial(tuple([Fraction(c, lead) for c in ai])), i))
+            out.append((ai, i))
             b = _zdiv_exact(b, ai)
             d = _zdiv_exact(d, ai)
         d = _zsub(d, _zderivative(b))
         i += 1
     return out
+
+
+def _squarefree_factors(p: Polynomial) -> list:
+    """Decompose a monic rational polynomial into (squarefree factor, multiplicity).
+
+    Yun's algorithm (_zyun) on the primitive integer polynomial with p's
+    roots: the denominators are cleared once, and the factors come back
+    monic, in increasing multiplicity.
+    """
+    factors = _zyun(_primitive(_over_common_denominator(p.coeffs)[0]))
+    if len(factors) == 1 and factors[0][1] == 1:  # squarefree: p itself
+        return [(p, 1)]
+    return [(Polynomial(tuple([Fraction(c, f[-1]) for c in f])), i) for f, i in factors]
+
+
+# --- exact refined inertia of an integer polynomial, by remainder sequences ---
+
+
+def _sturm_sequence(a: list, b: list) -> list:
+    # a, b, then minus a positive multiple of the remainder of the two before,
+    # over its content, until the remainder vanishes
+    seq = [a]
+    while any(b):
+        seq.append(b)
+        r = _zprem(seq[-2], b)
+        g = -math.gcd(*r)
+        b = [c // g for c in r] if g else r
+    return seq
+
+
+def _variations(values) -> int:
+    # sign changes along a sequence of numbers, zeros skipped
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _at_minus_inf(p: list) -> int:
+    # a number with the sign of p(t) as t -> -inf
+    return p[-1] if len(p) % 2 else -p[-1]
+
+
+def _exact_inertia(nums: list) -> RefinedInertia:
+    """Refined inertia of the integer polynomial sum_k nums[k] t**k (nonzero
+    leading coefficient), with no rounding (Gantmacher, Theory of Matrices,
+    vol. 2, ch. XV).
+
+    The zero roots are the vanishing low coefficients; q is the rest.  With
+    q(t) = E(t**2) + t*O(t**2), gcd(q(t), q(-t)) = H(t**2) for H = gcd(E, O):
+    its roots are the z with -z a root of q too, each imaginary-axis root
+    with its full multiplicity.  A negative root s of H of multiplicity m is
+    m pairs +-i*sqrt(-s), counted by a Sturm count on (-inf, 0) of each of
+    H's squarefree factors; every other root of H gives one root in each
+    open half-plane.  The cofactor c = q / H(t**2) has no imaginary-axis
+    root, so the argument of c(iy) = A(y) + i*B(y) turns by
+    pi * (n_minus - n_plus) as y runs over the real line, and that is the
+    Cauchy index of B/A (deg c even) or -A/B (deg c odd), read off the sign
+    variations of the Sturm sequence at -inf and +inf.
+    """
+    n_zero = 0
+    while not nums[n_zero]:
+        n_zero += 1
+    q = _primitive(nums[n_zero:])
+    even, odd = _ztrim(q[0::2]), _ztrim(q[1::2] or [0])
+    h = _zgcd(even, odd)
+    n_imag = 0
+    if len(h) > 1:
+        for f, mult in _zyun(h):
+            seq = _sturm_sequence(f, _zderivative(f))
+            n_imag += mult * (_variations(map(_at_minus_inf, seq)) - _variations(p[0] for p in seq))
+        even, odd = _zdiv_exact(even, h), _zdiv_exact(odd, h)
+    # A(y) = E_c(-y**2) and B(y) = y * O_c(-y**2) for c(t) = E_c(t**2) + t*O_c(t**2)
+    re = [0] * (2 * len(even) - 1)
+    re[0::2] = [-c if j % 2 else c for j, c in enumerate(even)]
+    im = [0] * (2 * len(odd))
+    im[1::2] = [-c if j % 2 else c for j, c in enumerate(odd)]
+    im = _ztrim(im)
+    seq = _sturm_sequence(re, im) if len(re) > len(im) else _sturm_sequence(im, re)
+    index = _variations(map(_at_minus_inf, seq)) - _variations(p[-1] for p in seq)
+    deg_c = max(len(re), len(im)) - 1
+    diff = index if deg_c % 2 == 0 else -index  # n_plus - n_minus of c
+    pairs = len(h) - 1 - n_imag  # roots +-z of h off the imaginary axis
+    return RefinedInertia(pairs + (deg_c + diff) // 2, pairs + (deg_c - diff) // 2, n_zero, n_imag)
 
 
 def _backward_errors(coeffs: list, zs) -> list:
@@ -391,10 +492,16 @@ def roots_to_quadratics(multiset: RootMultiset) -> list:
 def refined_inertia_of(matrix, tol: float = 1e-9) -> RefinedInertia:
     """Classify the eigenvalues of a matrix by sign of real part.
 
-    Eigenvalues with |z| <= tol count as zero; among the rest, |Re z| <= tol
-    counts as purely imaginary (in conjugate pairs), and the remainder split
-    by the sign of the real part.
+    A RationalMatrix is classified exactly, with no tolerance: the count runs
+    on the integer characteristic polynomial by remainder sequences (see
+    _exact_inertia) and never finds a root.  On a FloatMatrix, eigenvalues
+    with |z| <= tol count as zero; among the rest, |Re z| <= tol counts as
+    purely imaginary (in conjugate pairs), and the remainder split by the
+    sign of the real part.  tol must be positive and finite on both.
     """
+    _check_tol(tol)
+    if isinstance(matrix, RationalMatrix):
+        return _exact_inertia(_charpoly_scaled(_diagonal_blocks(matrix))[0])
     cp = char_poly(matrix)
     rm = find_roots(cp, tol=tol)
     n_plus = n_minus = n_zero = n_axis = 0

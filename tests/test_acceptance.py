@@ -180,7 +180,7 @@ def test_criterion_6_all_inertias():
     good = 0
     for nu in tuples:
         m = realize_inertia(nu)
-        if conforms(m, td) and refined_inertia_of(m, tol=1e-6) == nu:
+        if conforms(m, td) and refined_inertia_of(m) == nu:
             good += 1
     elapsed = time.perf_counter() - start
     ok = len(tuples) == 95 and good == 95 and elapsed < 30.0
@@ -188,7 +188,7 @@ def test_criterion_6_all_inertias():
         6,
         "all refined inertias of total 8",
         ok,
-        f"{good}/{len(tuples)} realized and classified at tol 1e-6, {elapsed:.2f}s < 30s",
+        f"{good}/{len(tuples)} realized and classified exactly, {elapsed:.2f}s < 30s",
     )
 
 

@@ -176,9 +176,11 @@ def test_inertia_all_axis():
     assert data["classified"] == [0, 0, 0, 4]
 
 
-def test_inertia_echo_mismatch_exits_1():
-    # a huge tolerance classifies every eigenvalue as zero
-    result = run("inertia", "2", "2", "0", "2", "--tol", "10")
+def test_inertia_echo_mismatch_exits_1(monkeypatch):
+    # a construction that returns a matrix of another inertia fails the echo
+    other = signspectra.realize_inertia((0, 0, 8, 0))
+    monkeypatch.setattr("signspectra.cli.realize_inertia", lambda nu: other)
+    result = run("inertia", "2", "2", "0", "2")
     assert result.exit_code == 1
     data = json.loads(result.stdout)
     assert data["requested"] == [2, 2, 0, 2]
@@ -187,8 +189,9 @@ def test_inertia_echo_mismatch_exits_1():
 
 
 def test_root_certificate_failure_exits_1_without_traceback():
-    for args in (("inertia", "2", "2", "0", "2"), ("verify", "theorem", "--samples", "5")):
-        result = run(*args, "--tol", "1e-300")
+    factor_input = json.dumps({"coeffs": [4, 0, 5, 0, 1]})
+    for args, stdin in ((("factor", "-"), factor_input), (("verify", "theorem", "--samples", "5"), None)):
+        result = run(*args, "--tol", "1e-300", input=stdin)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "error: residual certificate failed" in result.stderr

@@ -89,6 +89,21 @@ def test_matrix_from_dict_errors():
     assert exact[1, 0] == 10**400
 
 
+def test_rational_matrix_rejects_a_bool_entry():
+    # a bool is an int to isinstance, so without the check True read as 1
+    with pytest.raises(TypeError, match="got bool"):
+        RationalMatrix.from_rows([[True]])
+    with pytest.raises(TypeError, match="got bool"):
+        RationalMatrix.from_rows([[1, 0], [False, "1/2"]])
+
+
+def test_float_matrix_rejects_a_bool_entry():
+    with pytest.raises(TypeError, match="got bool"):
+        FloatMatrix.from_rows([[True]])
+    with pytest.raises(TypeError, match="got bool"):
+        FloatMatrix.from_rows([[1.0, 0.0], [0.5, False]])
+
+
 def test_matrix_dict_round_trip():
     r = RationalMatrix.from_rows([["1/2", "-3/7"], [0, 1]])
     assert matrix_from_dict(r.to_dict()) == r

@@ -101,6 +101,14 @@ def test_polynomial_from_dict():
         assert polynomial_from_dict(p.to_dict()) == p
 
 
+def test_polynomial_rejects_a_bool_coefficient():
+    # on either backend: without the check (True, False, True) read as t**2 + 1
+    with pytest.raises(TypeError, match="got bool"):
+        Polynomial((True, False, True))
+    with pytest.raises(TypeError, match="got bool"):
+        Polynomial((0.5, True, 1.0))
+
+
 def test_poly_mul_known_products():
     t2p1 = Polynomial((1, 0, 1))
     t2m1 = Polynomial((-1, 0, 1))

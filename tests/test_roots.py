@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 from conftest import PROPERTY_SETTINGS, pl_gcd, pl_product, poly_from_real_roots, poly_from_root_spec
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from signspectra import (
     FloatMatrix,
     Polynomial,
     Quadratic,
+    RationalMatrix,
     RefinedInertia,
     RootFindingError,
     RootMultiset,
@@ -379,8 +380,10 @@ def test_root_multiset_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
 
 
 def test_find_roots_keeps_a_finite_tolerance_of_one_or_more():
-    # allowed, so a classification echo can report the miss itself
-    assert refined_inertia_of(realize_inertia((3, 3, 0, 1)), tol=10.0) == RefinedInertia(0, 0, 8, 0)
+    # allowed, so a classification echo can report the miss itself; a float
+    # matrix is classified through find_roots at this tol
+    m = realize_inertia((3, 3, 0, 1)).to_float()
+    assert refined_inertia_of(m, tol=10.0) == RefinedInertia(0, 0, 8, 0)
 
 
 def test_backward_error_measures_perturbation():
@@ -634,6 +637,84 @@ def test_refined_inertia_counts_of_degree8_roots():
     assert (n_plus, n_minus, n_zero, n_axis // 2) == (3, 3, 0, 1)
 
 
+def _companion(coeffs) -> RationalMatrix:
+    # the companion matrix of the monic polynomial with these ascending coefficients
+    n = len(coeffs) - 1
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    return RationalMatrix.from_rows(rows + [[-c for c in coeffs[:-1]]])
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 30), st.integers(1, 9))
+_NONZERO = st.builds(lambda v, s: s * v, _POSITIVE, st.sampled_from((-1, 1)))
+
+
+def _quad(a, b):
+    # (t - a)**2 + b**2, ascending
+    return [a * a + b * b, -2 * a, 1]
+
+
+# each factor with the refined inertia of its roots
+_INERTIA_FACTORS = st.one_of(
+    _POSITIVE.map(lambda r: ([-r, 1], (1, 0, 0, 0))),
+    _POSITIVE.map(lambda r: ([r, 1], (0, 1, 0, 0))),
+    st.just(([0, 1], (0, 0, 1, 0))),
+    _POSITIVE.map(lambda w: ([w * w, 0, 1], (0, 0, 0, 1))),
+    st.builds(lambda a, b: (_quad(a, b), (2, 0, 0, 0) if a > 0 else (0, 2, 0, 0)), _NONZERO, _POSITIVE),
+    _POSITIVE.map(lambda r: ([-r * r, 0, 1], (1, 1, 0, 0))),
+    st.builds(lambda a, b: (pl_product([_quad(a, b), _quad(-a, b)]), (2, 2, 0, 0)), _POSITIVE, _POSITIVE),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(_INERTIA_FACTORS, st.integers(1, 3)), min_size=1, max_size=4).filter(
+        lambda fs: sum((len(f) - 1) * mult for (f, _), mult in fs) <= 16  # companion order
+    )
+)
+@example([(([-1, 1], (1, 0, 0, 0)), 1)])  # an odd cofactor: the Cauchy index's sign
+@example([(([1, 0, 1], (0, 0, 0, 1)), 2)])  # (t**2 + 1)**2: H's roots with multiplicity
+@example([(([1, 0, 1], (0, 0, 0, 1)), 3), (([-4, 0, 1], (1, 1, 0, 0)), 2), (([0, 1], (0, 0, 1, 0)), 1)])
+def test_exact_refined_inertia_of_known_products(factors):
+    coeffs = pl_product([f for (f, _), mult in factors for _ in range(mult)])
+    expected = [0, 0, 0, 0]
+    for (_, nu), mult in factors:
+        expected = [e + mult * k for e, k in zip(expected, nu)]
+    assert refined_inertia_of(_companion(coeffs)) == RefinedInertia(*expected)
+
+
+# The refined inertias of the float images of realize_inertia's matrices, lifted
+# exactly, where they differ from the request: rounding the entries moves the
+# zero eigenvalues (and a zero-real-part pair) off the axes.  Checked against an
+# independent high-precision root count.
+_LIFTED_FLOAT_INERTIA = {
+    (0, 5, 3, 0): (0, 6, 2, 0), (1, 4, 3, 0): (1, 5, 2, 0), (2, 3, 3, 0): (2, 4, 2, 0),
+    (3, 2, 3, 0): (4, 2, 2, 0), (4, 1, 3, 0): (5, 1, 2, 0), (0, 4, 4, 0): (2, 4, 2, 0),
+    (1, 3, 4, 0): (1, 5, 2, 0), (2, 2, 4, 0): (2, 4, 2, 0), (3, 1, 4, 0): (4, 2, 2, 0),
+    (0, 3, 5, 0): (1, 5, 2, 0), (3, 0, 5, 0): (5, 1, 2, 0), (0, 5, 1, 1): (0, 6, 0, 1),
+    (1, 4, 1, 1): (1, 5, 0, 1), (2, 3, 1, 1): (2, 4, 0, 1), (3, 2, 1, 1): (4, 2, 0, 1),
+    (4, 1, 1, 1): (5, 1, 0, 1), (0, 4, 2, 1): (2, 4, 0, 1), (1, 3, 2, 1): (1, 5, 0, 1),
+    (2, 2, 2, 1): (2, 4, 0, 1), (3, 1, 2, 1): (4, 2, 0, 1), (0, 3, 3, 1): (1, 5, 0, 1),
+    (3, 0, 3, 1): (5, 1, 0, 1), (0, 4, 0, 2): (0, 6, 0, 1), (1, 3, 0, 2): (1, 5, 0, 1),
+    (2, 2, 0, 2): (4, 2, 0, 1), (3, 1, 0, 2): (5, 1, 0, 1), (0, 3, 1, 2): (3, 3, 0, 1),
+    (3, 0, 1, 2): (3, 3, 0, 1),
+}
+
+
+def test_exact_refined_inertia_of_the_lifted_float_images():
+    # the tolerance path raised RootFindingError on some of these at tol 1e-6,
+    # for example on (0, 4, 4, 0); the exact count answers all 95
+    tuples = [
+        (npos, 8 - 2 * ni - nz - npos, nz, ni)
+        for ni in range(5)
+        for nz in range(8 - 2 * ni + 1)
+        for npos in range(8 - 2 * ni - nz + 1)
+    ]
+    assert len(tuples) == 95
+    for nu in tuples:
+        m = realize_inertia(nu).to_float().lift()
+        assert refined_inertia_of(m) == _LIFTED_FLOAT_INERTIA.get(nu, nu), nu
+
+
 def test_refined_inertia_tuple_helpers():
     nu = RefinedInertia(3, 3, 0, 1)
     assert nu.order() == 8
@@ -746,6 +827,20 @@ cli.main(["pattern", "U3"], standalone_mode=False)
 assert "numpy" not in sys.modules, "numpy loaded before any root solve"
 find_roots(Polynomial((1.0, 2.0, 3.0, 1.0)))
 assert "numpy" in sys.modules, "a cubic did not reach the companion matrix"
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+def test_exact_inertia_loads_no_numpy():
+    # a rational matrix is classified by remainder sequences, not by a root solve
+    script = """
+import sys
+import signspectra.cli as cli
+from signspectra import RefinedInertia, realize_inertia, refined_inertia_of
+assert refined_inertia_of(realize_inertia((2, 2, 0, 2))) == RefinedInertia(2, 2, 0, 2)
+cli.main(["inertia", "2", "2", "0", "2"], standalone_mode=False)
+assert "numpy" not in sys.modules, "numpy loaded by an exact classification"
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
