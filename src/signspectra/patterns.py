@@ -73,7 +73,8 @@ class SignPattern(_Square):
         return cls(tuple(tuple(Sign.from_char(ch) for ch in row) for row in rows))
 
     def to_rows(self) -> list:
-        return ["".join(s.value for s in row) for row in self.entries]
+        # "0+-"[code] is the character of code 0, 1 or -1
+        return ["".join(["0+-"[s] for s in row]) for row in self._codes]
 
     def to_dict(self) -> dict:
         return {"n": self.n, "rows": self.to_rows()}

@@ -4,11 +4,19 @@ Characteristic polynomials follow the det(tI - M) convention, so they are
 always monic.  Every matrix, rational or float, takes one exact path from its
 diagonal blocks: the entries of the blocks are scaled by their common
 denominator to Python ints straight from each entry's integer ratio (a double
-is a dyadic rational, so nothing is rounded), an integer trace recursion runs
-on each block, and the block polynomials are multiplied by the same
+is a dyadic rational, so nothing is rounded), each block's polynomial is
+computed over the ints, and the block polynomials are multiplied by the same
 convolution as poly_mul.  char_poly and verify_realization find the blocks by
 scanning the dense matrix for its block-diagonal cuts; realize_poly passes the
 blocks it built.
+
+A block's polynomial takes one of two exact paths, chosen by its zero/nonzero
+support alone.  A sparse support, such as the 6x6 templates T and Tprime and
+the 2x2 block D, sums signed products over its sets of vertex-disjoint
+cycles, which are enumerated once per support and memoized.  A support whose
+enumeration would cost more than the trace recursion (Faddeev-LeVerrier over
+the ints), such as a dense one, runs that recursion.  Both give the same
+ints.
 
 Exact coefficients have one scaled-integer form, (nums, den): coefficient k
 is nums[k] / den, all ints.  The characteristic polynomial comes out in it,
@@ -20,6 +28,7 @@ is built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,7 +148,87 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(tuple(_convolve(p.coeffs, q.coeffs)))
 
 
+@functools.lru_cache(maxsize=32)
+def _linear_subdigraphs(support: tuple) -> tuple | None:
+    """The signed cycle covers that expand det(tI - A) on one support, or None.
+
+    support[i][j] is true where a_ij may be nonzero, and the digraph has an
+    arc i -> j there.  Entry k of the result lists, as (sign, arcs), every set
+    of vertex-disjoint cycles that covers exactly n - k vertices: arcs are the
+    (i, j) of its cycles, each cycle from its least vertex, and sign is
+    (-1)**(number of cycles).  Then c[k] of det(tI - A) is the sum of
+    sign * prod(a[i][j] for i, j in arcs) over entry k (Brualdi and
+    Cvetković, A Combinatorial Approach to Matrix Theory, 2008, ch. 4);
+    entry n is the empty set, so c[n] = 1.  The terms are structure only, so
+    monomials in the entries can take the place of ints.
+
+    The search decides the vertices in increasing order: each is left out or
+    is the least vertex of a new cycle, which grows through unused vertices
+    above it until it returns, so every set is listed once.  The trace
+    recursion takes n - 2 sparse-by-dense products of nnz * n
+    multiplications each, plus a set-up that dominates on 2x2 blocks.  So
+    the search gives up, and returns None, once its steps or the arcs of its
+    terms pass n * n * nnz, a count of the same order: a dense support gives
+    up after about one recursion's multiplications in search steps, and the
+    memo holds at most that many arcs per support.
+    """
+    n = len(support)
+    succ = [[(j, (i, j)) for j, nonzero in enumerate(row) if nonzero] for i, row in enumerate(support)]
+    budget = n * n * sum(map(len, succ))
+    terms = [[] for _ in range(n + 1)]
+    arc_count = steps = 0
+    # a state is (root, u, used, path, sign): with u < 0 the vertices below
+    # root are decided; else a cycle from root has reached u.  path links
+    # the arcs taken, newest first, as (earlier path, arc).
+    stack = [(0, -1, 0, None, 1)]
+    while stack:
+        steps += 1
+        if steps > budget:
+            return None
+        root, u, used, path, sign = stack.pop()
+        if u < 0:
+            while root < n and used >> root & 1:
+                root += 1
+            if root == n:
+                arcs = []
+                while path is not None:
+                    path, arc = path
+                    arcs.append(arc)
+                arc_count += len(arcs)
+                if arc_count > budget:
+                    return None
+                terms[n - len(arcs)].append((sign, tuple(reversed(arcs))))
+                continue
+            stack.append((root + 1, -1, used, path, sign))
+            stack.append((root, root, used | 1 << root, path, sign))
+        else:
+            for w, arc in succ[u]:
+                if w == root:
+                    stack.append((root + 1, -1, used, (path, arc), -sign))
+                elif w > root and not used >> w & 1:
+                    stack.append((root, w, used | 1 << w, (path, arc), sign))
+    return tuple(map(tuple, terms))
+
+
 def _charpoly_int(a: list, n: int) -> list:
+    # det(tI - a) of a square int matrix as ascending ints: the signed sum
+    # over the cycle covers of its support, else the trace recursion
+    expansion = _linear_subdigraphs(tuple([tuple(map(bool, row)) for row in a]))
+    if expansion is None:
+        return _charpoly_trace(a, n)
+    c = []
+    for terms in expansion:
+        ck = 0
+        for sign, arcs in terms:
+            p = sign
+            for i, j in arcs:
+                p *= a[i][j]
+            ck += p
+        c.append(ck)
+    return c
+
+
+def _charpoly_trace(a: list, n: int) -> list:
     # Trace recursion over Python ints: M1 = A, c[n-1] = -tr M1,
     # Mk = A(Mk-1 + c[n-k+1] I), c[n-k] = -tr(Mk)/k.  The division by k is
     # exact for integer input because the coefficients are integers.  The
@@ -197,7 +286,9 @@ def _charpoly_scaled(blocks) -> tuple:
     c[k] * scale**k and scale**n.  A double is dyadic, so odd is 1 for a
     float matrix and the powers of its scale are shifts.  Entries outside the
     blocks are zero and do not change the scale, so any split of M into
-    diagonal blocks gives the same (nums, den).
+    diagonal blocks gives the same (nums, den).  Each block's polynomial comes
+    from _charpoly_int: the cycle covers of its support when they are few (the
+    T, Tprime and D blocks of every realization), else the trace recursion.
     """
     flat, scale = _over_common_denominator([e for block in blocks for row in block for e in row])
     shift = (scale & -scale).bit_length() - 1

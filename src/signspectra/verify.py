@@ -8,10 +8,11 @@ showing one specific degree-8 polynomial admits no realizable degree-6
 divisor, hence no realization over diag(T, D).  The identities read only the
 t**5 and t**3 coefficients, and compute them exactly from the power sums
 tr A, tr A² and tr A³ over the closed walks of each sample's own support, by
-Newton's identities: not from the trace recursion that builds and checks
-realizations.  Sampled evidence: spectral arbitrariness is a universally
-quantified claim over an uncountable set, so the suite realizes batches of
-random targets and labels the evidence kind rather than overclaiming.
+Newton's identities: not by either path of char_poly (the cycle-cover
+expansion or the trace recursion), which builds and checks realizations.
+Sampled evidence: spectral arbitrariness is a universally quantified claim
+over an uncountable set, so the suite realizes batches of random targets and
+labels the evidence kind rather than overclaiming.
 
 A random conforming sample draws only at the pattern's nonzero entries, in
 row-major order: a numerator k, then a denominator l, each uniform in 1..100,
@@ -123,11 +124,12 @@ def _closed_walks(support: tuple) -> tuple:
 
 def _walk_coefficients(a: list) -> tuple:
     # (c[n-3], c[n-1]) of det(tI - a) for a square int matrix of order n >= 3,
-    # exact and without the trace recursion: p_k = tr a**k is a sum over the
-    # closed walks of length k in a's own support, and Newton's identities
-    # give e2 = (p1**2 - p2)/2 and e3 = (e2*p1 - p1*p2 + p3)/3, so
-    # c[n-1] = -p1 and c[n-3] = -e3.  Both divisions are exact because e2 and
-    # e3 are sums of principal minors of an integer matrix.
+    # exact and without char_poly's cycle covers or trace recursion:
+    # p_k = tr a**k is a sum over the closed walks of length k in a's own
+    # support, and Newton's identities give e2 = (p1**2 - p2)/2 and
+    # e3 = (e2*p1 - p1*p2 + p3)/3, so c[n-1] = -p1 and c[n-3] = -e3.  Both
+    # divisions are exact because e2 and e3 are sums of principal minors of an
+    # integer matrix.
     loops, walks2, walks3 = _closed_walks(tuple(tuple(map(bool, row)) for row in a))
     p1 = sum(a[i][i] for i in loops)
     p2 = sum(a[i][j] * a[j][i] for i, j in walks2)
@@ -173,9 +175,10 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     identities; the first failing sample is reported as drawn.  The t**5 and
     t**3 coefficients of each sample are computed exactly from tr A, tr A²
     and tr A³, summed over the closed walks of the sample's own support, by
-    Newton's identities; this check shares no code with ``char_poly``'s
-    trace recursion.  samples and seed must be ints (not bools), so that the
-    report names the run.
+    Newton's identities; this check shares no code with either path of
+    ``char_poly``, the cycle-cover expansion or the trace recursion.
+    samples and seed must be ints (not bools), so that the report names the
+    run.
     """
     if which not in ("T", "Tprime"):
         raise ValueError(f'identity pattern must be "T" or "Tprime", got {which!r}')

@@ -86,6 +86,13 @@ def test_builtin_rows_and_orders():
             assert builtin_pattern(name).n >= 2
 
 
+def test_to_rows_spells_each_entry_by_its_sign_value():
+    patterns = [builtin_pattern(name) for name in BUILTIN_NAMES if name != "V"]
+    patterns += [builtin_pattern("V", t=4, d=6), SignPattern.from_rows(["+-0", "0-+", "-0+"])]
+    for p in patterns:
+        assert p.to_rows() == ["".join(s.value for s in row) for row in p.entries]
+
+
 def test_primed_composite_differs_in_one_entry():
     s = builtin_pattern("S")
     sprime = builtin_pattern("Sprime")

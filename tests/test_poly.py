@@ -12,6 +12,7 @@ from signspectra import (
     Quadratic,
     RationalMatrix,
     block_diag,
+    builtin_pattern,
     char_poly,
     coefficient_residual,
     divisors_degree6,
@@ -23,7 +24,9 @@ from signspectra.poly import (
     _charpoly_int,
     _charpoly_residual,
     _charpoly_scaled,
+    _charpoly_trace,
     _convolve,
+    _linear_subdigraphs,
     _over_common_denominator,
 )
 from signspectra.verify import _walk_coefficients
@@ -355,9 +358,63 @@ def test_charpoly_int_matches_cofactor_expansion():
     matches_cofactors()
 
 
+def _support(a):
+    return tuple(tuple(map(bool, row)) for row in a)
+
+
+def test_cycle_covers_match_the_trace_recursion():
+    @PROPERTY_SETTINGS
+    @given(_int_matrix())
+    def same_ints(a):
+        n = len(a)
+        assert _charpoly_int(a, n) == _charpoly_trace(a, n)
+
+    same_ints()
+
+
+@pytest.mark.parametrize("name", ["T", "Tprime", "D", "S"])
+def test_cycle_covers_of_the_builtin_supports(name):
+    # huge entries of every sign on the pattern's support; S is block
+    # diagonal with 65625 cycle covers, so it takes the trace recursion
+    codes = builtin_pattern(name)._codes
+    rng = random.Random(name)
+    for _ in range(20):
+        a = [[s * rng.randint(1, 10**30) for s in row] for row in codes]
+        assert _charpoly_int(a, len(a)) == _charpoly_trace(a, len(a))
+    assert (_linear_subdigraphs(_support(codes)) is None) == (name == "S")
+
+
+def test_cycle_cover_terms():
+    # the term counts per coefficient c[0], ..., c[n] of the templates, as a
+    # symbolic expansion of det(tI - M) counts them; D's terms are
+    # c[0] = a00*a11 - a01*a10 and c[1] = -a00 - a11
+    counts = {"T": [4, 5, 4, 2, 3, 2, 1], "Tprime": [4, 6, 4, 3, 3, 2, 1]}
+    for name, expected in counts.items():
+        terms = _linear_subdigraphs(_support(builtin_pattern(name)._codes))
+        assert [len(ck) for ck in terms] == expected
+        for k, ck in enumerate(terms):
+            for sign, arcs in ck:
+                assert len(arcs) == 6 - k
+                assert sorted(i for i, _ in arcs) == sorted(j for _, j in arcs)
+    assert [sorted(ck) for ck in _linear_subdigraphs(_support(builtin_pattern("D")._codes))] == [
+        [(-1, ((0, 1), (1, 0))), (1, ((0, 0), (1, 1)))],
+        [(-1, ((0, 0),)), (-1, ((1, 1),))],
+        [(1, ())],
+    ]
+
+
+def test_a_dense_support_takes_the_trace_recursion():
+    # an all-nonzero order-20 support has more than 20! cycle covers; the
+    # search gives up within its budget and the recursion answers
+    rng = random.Random(20)
+    a = [[rng.randint(-9, 9) or 1 for _ in range(20)] for _ in range(20)]
+    assert _linear_subdigraphs(_support(a)) is None
+    assert _charpoly_int(a, 20) == _charpoly_trace(a, 20)
+
+
 def test_walk_coefficients_match_charpoly_int():
     # the identity check's closed-walk power sums give the same t**(n-1) and
-    # t**(n-3) coefficients as the full trace recursion, on random supports
+    # t**(n-3) coefficients as the full _charpoly_int, on random supports
     # that no built-in pattern has as well as on the patterns' own
     @PROPERTY_SETTINGS
     @given(_int_matrix(min_order=3))

@@ -77,6 +77,20 @@ def test_check_identity_smoke():
         json.dumps(report.to_dict())
 
 
+def test_check_identity_shares_no_code_with_char_poly(monkeypatch):
+    poly = importlib.import_module("signspectra.poly")
+
+    def broken(*args):
+        raise AssertionError("the identity check reached char_poly")
+
+    monkeypatch.setattr(poly, "_charpoly_int", broken)
+    monkeypatch.setattr(poly, "_linear_subdigraphs", broken)
+    with pytest.raises(AssertionError, match="reached char_poly"):
+        char_poly(realize_even_sextic(1, 2, 3))
+    for which in ("T", "Tprime"):
+        assert check_identity(which, samples=50, seed=3).all_passed
+
+
 def test_check_identity_first_failure_is_the_drawn_sample(monkeypatch):
     # failing the identity on the k-th sample reports exactly the k-th draw
     # of sample_conforming_matrix, so the RNG order and the signs are shared
