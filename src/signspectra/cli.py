@@ -2,21 +2,23 @@
 factoring, and pattern lookup as subcommands with JSON input and output.
 
 Every command body returns its JSON-ready dict and either None or a one-line
-failure message; one command class is the only boundary between those bodies
-and the terminal.  It adds --out to every command, prints the JSON, and maps
-failures to exit codes: 0 success; 1 a failed check, a root-finding failure
-or an ArithmeticError (a construction that missed its own bounds), each with
-one "error: ..." line on stderr; 2 a usage error, a ValueError (bad input or
-an unmet precondition), or an --out that cannot be opened.  No failure shows
-a traceback.
+failure message; ``main`` is the only boundary between those bodies and the
+terminal.  It prints the JSON to stdout or --out, and maps failures to exit
+codes: 0 success; 1 a failed check, a root-finding failure or an
+ArithmeticError (a construction that missed its own bounds), each with one
+"error: ..." line on stderr; 2 a usage error, a ValueError (bad input or an
+unmet precondition), or a POLY or --out that cannot be opened, each with one
+"Error: ..." line.  A reader that closes stdout before the JSON is written
+gets exit 1 and no message.  No failure shows a traceback.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
-
-import click
+import os
+import sys
 
 from .patterns import builtin_pattern
 from .poly import polynomial_from_dict
@@ -25,9 +27,14 @@ from .roots import RootFindingError, find_roots, refined_inertia_of, roots_to_qu
 from .verify import check_divisor_obstruction, check_identity, run_theorem_suite
 
 
-def _load_poly(fh):
+def _load_poly(path: str):
     try:
-        return polynomial_from_dict(json.load(fh))
+        if path == "-":
+            return polynomial_from_dict(json.load(sys.stdin))
+        with open(path) as fh:
+            return polynomial_from_dict(json.load(fh))
+    except OSError as e:
+        raise ValueError(f"cannot open POLY '{path}': {e.strerror}") from None
     except (ValueError, KeyError, TypeError) as e:
         raise ValueError(f"invalid polynomial input: {e}") from None
 
@@ -42,59 +49,7 @@ def _check_tol(tol: float, below_one: bool = True) -> None:
         )
 
 
-class _Command(click.Command):
-    """A command whose callback returns (data, error): prints data as JSON to
-    stdout or --out, then exits 1 with one error line when error is set."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        out = click.Option(["--out"], type=click.File("w", lazy=True), help="Write JSON here instead of stdout.")
-        self.params.append(out)
-
-    def invoke(self, ctx):
-        # the lazy file opens at the write, so a command that fails first creates no file
-        out = ctx.params.pop("out")
-        try:
-            data, error = super().invoke(ctx)
-            click.echo(json.dumps(data, indent=2), file=out)
-        except ValueError as e:
-            raise click.UsageError(str(e), ctx)
-        except click.FileError as e:
-            raise click.UsageError(e.format_message(), ctx)
-        except (RootFindingError, ArithmeticError) as e:
-            error = str(e)
-        if error is not None:
-            click.echo(f"error: {error}", err=True)
-            ctx.exit(1)
-
-
-class _Main(click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Main)
-def main():
-    """Constructive spectra for sign patterns.
-
-    Polynomials are JSON objects {"coeffs": [c0, c1, ...]} in ascending
-    order; string coefficients like "-2/7" select exact rational arithmetic.
-    Matrices print as {"n": ..., "entries": [[...], ...]}.
-    """
-
-
-@main.command()
-@click.argument("poly", type=click.File("r"))
-@click.option("--t", "t", type=int, required=True, help="Number of 6x6 template blocks.")
-@click.option("--d", "d", type=int, required=True, help="Number of 2x2 blocks (at least 5).")
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Root-finding tolerance.")
-@click.option(
-    "--backend",
-    type=click.Choice(["rational", "float"]),
-    default="float",
-    show_default=True,
-    help="Arithmetic for the constructed blocks.",
-)
-def realize(poly, t, d, tol, backend):
+def _realize(poly, t, d, tol, backend):
     """Realize a monic degree-(6T + 2D) polynomial over the composite pattern.
 
     POLY is a polynomial JSON file, or - for stdin.
@@ -104,19 +59,7 @@ def realize(poly, t, d, tol, backend):
     return realize_poly(f, t, d, tol=tol, backend=backend).to_dict(), None
 
 
-@main.command()
-@click.argument("n_plus", type=int)
-@click.argument("n_minus", type=int)
-@click.argument("n_zero", type=int)
-@click.argument("n_imag", type=int)
-@click.option(
-    "--tol",
-    type=float,
-    default=1e-9,
-    show_default=True,
-    help="Accepted and checked, but unused: the exact matrix is classified exactly.",
-)
-def inertia(n_plus, n_minus, n_zero, n_imag, tol):
+def _inertia(n_plus, n_minus, n_zero, n_imag, tol):
     """Build an 8x8 matrix over diag(T, D) with the requested refined inertia.
 
     The four arguments count eigenvalues with positive real part, negative
@@ -136,12 +79,7 @@ def inertia(n_plus, n_minus, n_zero, n_imag, tol):
     return data, None
 
 
-@main.command()
-@click.argument("which", type=click.Choice(["identities", "divisors", "theorem", "all"]))
-@click.option("--samples", type=int, default=1000, show_default=True, help="Samples per identity check.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-def verify(which, samples, seed, tol):
+def _verify(which, samples, seed, tol):
     """Run exact certificates: coefficient identities, the divisor
     obstruction, or the full three-part suite.
 
@@ -169,10 +107,7 @@ def verify(which, samples, seed, tol):
     return result, f"failed checks: {', '.join(failed)}" if failed else None
 
 
-@main.command()
-@click.argument("poly", type=click.File("r"))
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-def factor(poly, tol):
+def _factor(poly, tol):
     """Split an even-degree monic polynomial into monic quadratics.
 
     When the degree is at least 16, also report the sign-homogeneous triple
@@ -194,17 +129,152 @@ def factor(poly, tol):
     return data, None
 
 
-@main.command()
-@click.argument("name")
-@click.option("--t", "t", type=int, default=None, help="Template block count (pattern V only).")
-@click.option("--d", "d", type=int, default=None, help="2x2 block count (pattern V only).")
-def pattern(name, t, d):
+def _pattern(name, t, d):
     """Print a built-in sign pattern as JSON.
 
     Known names: T, Tprime, D, X_template, S, Sprime, TD, U1, U2, U3, and V
     (which needs --t and --d).
     """
     return builtin_pattern(name, t=t, d=d).to_dict(), None
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # raise instead of exiting, so main prints a parse error like any other usage error
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="signspectra",
+        description=(
+            "Constructive spectra for sign patterns.  Polynomials are JSON objects"
+            ' {"coeffs": [c0, c1, ...]} in ascending order; string coefficients like'
+            ' "-2/7" select exact rational arithmetic.  Matrices print as'
+            ' {"n": ..., "entries": [[...], ...]}.'
+        ),
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(body, summary):
+        sub = commands.add_parser(
+            body.__name__[1:], help=summary, description=body.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(body=body)
+        return sub
+
+    tol_help = "Root-finding tolerance (default: %(default)s)."
+    poly_help = "Polynomial JSON file, or - for stdin."
+
+    sub = command(_realize, "Realize a polynomial over the composite pattern.")
+    sub.add_argument("poly", metavar="POLY", help=poly_help)
+    sub.add_argument("--t", type=int, required=True, help="Number of 6x6 template blocks.")
+    sub.add_argument("--d", type=int, required=True, help="Number of 2x2 blocks (at least 5).")
+    sub.add_argument("--tol", type=float, default=1e-9, help=tol_help)
+    sub.add_argument(
+        "--backend",
+        choices=["rational", "float"],
+        default="float",
+        help="Arithmetic for the constructed blocks (default: %(default)s).",
+    )
+
+    sub = command(_inertia, "Build an 8x8 matrix with a given refined inertia.")
+    for name in ("n_plus", "n_minus", "n_zero", "n_imag"):
+        sub.add_argument(name, metavar=name.upper(), type=int)
+    sub.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="Accepted and checked, but unused: the exact matrix is classified exactly.",
+    )
+
+    sub = command(_verify, "Run the exact certificates.")
+    sub.add_argument(
+        "which",
+        metavar="WHICH",
+        choices=["identities", "divisors", "theorem", "all"],
+        help="One of identities, divisors, theorem, all.",
+    )
+    sub.add_argument(
+        "--samples", type=int, default=1000, help="Samples per identity check (default: %(default)s)."
+    )
+    sub.add_argument("--seed", type=int, default=0, help="Sampling seed (default: %(default)s).")
+    sub.add_argument("--tol", type=float, default=1e-9, help=tol_help)
+
+    sub = command(_factor, "Split a polynomial into monic quadratics.")
+    sub.add_argument("poly", metavar="POLY", help=poly_help)
+    sub.add_argument("--tol", type=float, default=1e-9, help=tol_help)
+
+    sub = command(_pattern, "Print a built-in sign pattern.")
+    sub.add_argument("name", metavar="NAME")
+    sub.add_argument("--t", type=int, help="Template block count (pattern V only).")
+    sub.add_argument("--d", type=int, help="2x2 block count (pattern V only).")
+
+    for sub in commands.choices.values():
+        sub.add_argument("--out", help="Write JSON here instead of stdout (- is stdout).")
+    return parser
+
+
+# built once: a parser per call would cost more than the parse itself
+_PARSER = _build_parser()
+
+
+def _write(text: str, out: str | None) -> None:
+    if out is None or out == "-":
+        try:
+            sys.stdout.write(text)
+            # flushed so that an error line on stderr follows the JSON
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early (`| head`): point stdout at devnull, so
+            # that the interpreter's last flush does not report the pipe again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as e:
+        raise ValueError(f"cannot open --out '{out}': {e.strerror}") from None
+    with fh:
+        fh.write(text)
+
+
+def main(argv=None, standalone_mode: bool = True):
+    """Run one command line (``sys.argv[1:]`` when argv is None).
+
+    With standalone_mode, exit the process with the command's exit code;
+    otherwise return that code as an int.
+    """
+    try:
+        args = vars(_PARSER.parse_args(argv))
+        body, out = args.pop("body"), args.pop("out")
+        data, error = body(**args)
+        # --out is opened only now, so a command that fails first creates no file
+        _write(json.dumps(data, indent=2) + "\n", out)
+    except SystemExit as e:
+        # --help printed its text, and argparse exits 0 after it
+        code = e.code
+    except ValueError as e:
+        print(f"Error: {e}", file=sys.stderr)
+        code = 2
+    except (RootFindingError, ArithmeticError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        code = 1
+    except BrokenPipeError:
+        # nobody reads the JSON: exit 1 with no message, as the reader is gone
+        code = 1
+    else:
+        code = 0
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            code = 1
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import signspectra
 from signspectra import (
@@ -36,8 +36,33 @@ DEGREE8 = product(
 )
 
 
-def run(*args, **kwargs):
-    return CliRunner().invoke(main, list(args), **kwargs)
+@dataclasses.dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None
+
+    @property
+    def output(self) -> str:
+        # what a terminal shows: a success test that parses it also finds stderr empty
+        return self.stdout + self.stderr
+
+
+def run(*args, input=None):
+    """Run main as the console script does, on the given stdin text, in process."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), io.StringIO(), io.StringIO()
+    try:
+        main(list(args), standalone_mode=True)
+    except SystemExit as e:
+        stop = e
+    else:
+        pytest.fail("main returned instead of exiting")
+    finally:
+        stdout, stderr = sys.stdout.getvalue(), sys.stderr.getvalue()
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return Result(stop.code, stdout, stderr, stop if stop.code else None)
 
 
 def poly_json(p):
@@ -456,7 +481,7 @@ def test_out_writes_exactly_what_stdout_shows(tmp_path):
         written = run(*args, "--out", str(out), input=stdin)
         assert written.exit_code == 0, written.stderr
         assert written.stdout == ""
-        assert out.read_bytes() == shown.stdout_bytes
+        assert out.read_bytes() == shown.stdout.encode()
 
     # an --out that cannot be opened is a usage error, not a traceback
     missing = tmp_path / "missing" / "x.json"
@@ -467,6 +492,13 @@ def test_out_writes_exactly_what_stdout_shows(tmp_path):
     assert str(missing) in line
     assert "Traceback" not in result.output + result.stderr
     assert not missing.exists()
+
+    # so is an --out that is a directory
+    result = run("pattern", "U3", "--out", str(tmp_path))
+    assert result.exit_code == 2
+    (line,) = [x for x in result.stderr.splitlines() if x.startswith("Error:")]
+    assert str(tmp_path) in line
+    assert result.stdout == ""
 
     # a command that fails before its write creates no file
     failed = tmp_path / "f.json"
@@ -487,6 +519,44 @@ def test_failed_verify_prints_its_json_then_one_error_line(monkeypatch):
     assert result.stderr.count("\n") == 1
     assert "divisors" in result.stderr
 
+def test_unreadable_poly_is_a_usage_error(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        for args in (("factor", str(path)), ("realize", str(path), "--t", "1", "--d", "5")):
+            result = run(*args)
+            assert result.exit_code == 2
+            (line,) = result.stderr.splitlines()
+            assert line.startswith("Error:") and str(path) in line
+            assert result.stdout == ""
+
+
+def test_option_abbreviations_are_rejected():
+    # --to must not be read as --tol
+    for args, stdin in ((("factor", "-"), poly_json(DEGREE8)), (("inertia", "2", "2", "0", "2"), None)):
+        result = run(*args, "--to", "1e-9", input=stdin)
+        assert result.exit_code == 2
+        assert "unrecognized arguments: --to" in result.stderr
+        assert result.stdout == ""
+
+
+def test_missing_or_unknown_command_is_a_usage_error():
+    for args in ((), ("nonsense",)):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert [x for x in result.stderr.splitlines() if x.startswith("Error:")]
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
+def test_help_exits_0(capsys):
+    for args in (("--help",), ("realize", "--help")):
+        result = run(*args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("usage: signspectra")
+    # without standalone_mode the exit code is returned, as for every command
+    assert main(["realize", "--help"], standalone_mode=False) == 0
+    assert capsys.readouterr().out.startswith("usage: signspectra realize")
+
+
 def test_module_entry_point_runs_commands():
     src = os.path.dirname(os.path.dirname(os.path.abspath(signspectra.__file__)))
     path = os.environ.get("PYTHONPATH")
@@ -500,3 +570,25 @@ def test_module_entry_point_runs_commands():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["n"] == 32
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # a reader that stops early (`signspectra ... | head`) leaves a pipe with no reader
+    src = os.path.dirname(os.path.dirname(os.path.abspath(signspectra.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "signspectra.cli", "pattern", "V", "--t", "8", "--d", "8"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""

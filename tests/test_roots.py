@@ -815,10 +815,12 @@ def test_kernel_reports_numpy():
 
 def test_numpy_loads_only_for_a_companion_matrix_solve():
     # the exact certificates, the pattern output and the CLI import never
-    # reach the companion matrix, so a fresh process leaves numpy unloaded
+    # reach the companion matrix, so a fresh process leaves numpy unloaded;
+    # the CLI runs on argparse, so its import loads no click either
     script = """
 import sys
 import signspectra.cli as cli
+assert "click" not in sys.modules, "click loaded by the CLI import"
 from signspectra import Polynomial, builtin_pattern, check_divisor_obstruction, check_identity, find_roots
 assert check_identity("T", 20).all_passed
 assert check_divisor_obstruction().passed
