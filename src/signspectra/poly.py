@@ -270,6 +270,8 @@ def _over_common_denominator(values) -> tuple:
 
 def _diagonal_blocks(matrix) -> list:
     # the diagonal blocks of the matrix's finest block-diagonal split, as rows
+    if not isinstance(matrix, (RationalMatrix, FloatMatrix)):
+        raise TypeError(f"expected a matrix, got {type(matrix).__name__}")
     cuts = [0, *accumulate(block_orders(matrix))]
     return [[row[lo:hi] for row in matrix.entries[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
 
@@ -317,8 +319,6 @@ def char_poly(matrix) -> Polynomial:
     coefficients of a FloatMatrix are the correctly rounded doubles of the
     exact characteristic polynomial of its entries.
     """
-    if not isinstance(matrix, (RationalMatrix, FloatMatrix)):
-        raise TypeError(f"expected a matrix, got {type(matrix).__name__}")
     nums, den = _charpoly_scaled(_diagonal_blocks(matrix))
     if isinstance(matrix, FloatMatrix):
         coeffs = []

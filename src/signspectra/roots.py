@@ -29,15 +29,16 @@ each of its steps at z (negating a part is exact and IEEE rounding is
 symmetric), and |z-bar| = |z|; the backward error at z-bar is the same
 double, or NaN at both.
 
-The refined inertia of a RationalMatrix is counted exactly, with no root and
-no tolerance: on its integer characteristic polynomial, a gcd splits off the
-roots z whose negative -z is a root too (the imaginary axis among them), a
-Sturm count of that gcd's negative roots in t**2 gives the imaginary pairs,
-and the Cauchy index of the cofactor along the imaginary axis gives the
-difference of the two half-planes (Routh-Hurwitz; Gantmacher, Theory of
+The refined inertia of a matrix, rational or float (every double is a dyadic
+rational), is counted exactly, with no root and no tolerance, block by block
+on the integer characteristic polynomial of each diagonal block: a gcd splits
+off the roots z whose negative -z is a root too (the imaginary axis among
+them), a Sturm count of that gcd's negative roots in t**2 gives the imaginary
+pairs, and the Cauchy index of the cofactor along the imaginary axis gives
+the difference of the two half-planes (Routh-Hurwitz; Gantmacher, Theory of
 Matrices, vol. 2, ch. XV).  One sign-preserving pseudo-remainder serves the
 gcd and both Sturm sequences, and one integer Yun split serves this count and
-_squarefree_factors.  A FloatMatrix is classified from find_roots at tol.
+_squarefree_factors.
 
 numpy is imported on the first companion-matrix solve, not with the module:
 the exact certificates, the exact refined inertia and the closed forms never
@@ -53,15 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .matrices import RationalMatrix
-from .poly import (
-    Polynomial,
-    Quadratic,
-    _charpoly_scaled,
-    _diagonal_blocks,
-    _over_common_denominator,
-    char_poly,
-)
+from .poly import Polynomial, Quadratic, _charpoly_int, _diagonal_blocks, _over_common_denominator
 
 # The one root kernel: companion-matrix eigenvalues through numpy.
 KERNEL = "numpy"
@@ -490,30 +483,21 @@ def roots_to_quadratics(multiset: RootMultiset) -> list:
 
 
 def refined_inertia_of(matrix, tol: float = 1e-9) -> RefinedInertia:
-    """Classify the eigenvalues of a matrix by sign of real part.
+    """Classify the eigenvalues of a matrix by sign of real part, exactly.
 
-    A RationalMatrix is classified exactly, with no tolerance: the count runs
-    on the integer characteristic polynomial by remainder sequences (see
-    _exact_inertia) and never finds a root.  On a FloatMatrix, eigenvalues
-    with |z| <= tol count as zero; among the rest, |Re z| <= tol counts as
-    purely imaginary (in conjugate pairs), and the remainder split by the
-    sign of the real part.  tol must be positive and finite on both.
+    The spectrum of a block-diagonal matrix is the union of its blocks'
+    spectra, so each diagonal block is counted on its own: its entries, as
+    ints over the block's common denominator (a positive scale keeps the
+    inertia), give an integer characteristic polynomial, and _exact_inertia
+    counts it by remainder sequences, with no root.  A FloatMatrix is counted
+    on the exact rationals its doubles are.  tol is validated (positive and
+    finite) but unused.
     """
     _check_tol(tol)
-    if isinstance(matrix, RationalMatrix):
-        return _exact_inertia(_charpoly_scaled(_diagonal_blocks(matrix))[0])
-    cp = char_poly(matrix)
-    rm = find_roots(cp, tol=tol)
-    n_plus = n_minus = n_zero = n_axis = 0
-    for z in rm.roots:
-        if abs(z) <= tol:
-            n_zero += 1
-        elif abs(z.real) <= tol:
-            n_axis += 1
-        elif z.real > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
-    # a real root of the closed multiset has imag == 0.0, so it never counts as
-    # axis; axis roots come in exact conjugate pairs, so n_axis is even
-    return RefinedInertia(n_plus, n_minus, n_zero, n_axis // 2)
+    counts = [0, 0, 0, 0]
+    for block in _diagonal_blocks(matrix):
+        n = len(block)
+        flat = _over_common_denominator([e for row in block for e in row])[0]
+        nu = _exact_inertia(_charpoly_int([flat[i * n : (i + 1) * n] for i in range(n)], n))
+        counts = [c + k for c, k in zip(counts, nu)]
+    return RefinedInertia(*counts)

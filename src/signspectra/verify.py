@@ -479,7 +479,7 @@ def run_theorem_suite(*, seed: int = 0, tol: float = 1e-9, identity_samples: int
     failures = []
     for nu in nus:
         m = realize_inertia(nu)
-        if refined_inertia_of(m) != nu:  # exact: m is rational
+        if refined_inertia_of(m) != nu:  # an exact count, block by block
             failures.append(tuple(nu))
     part2 = InertiaEvidence(
         obstruction=check_divisor_obstruction(),

@@ -20,6 +20,7 @@ from signspectra import (
     RootFindingError,
     RootMultiset,
     backward_error,
+    builtin_pattern,
     coefficient_residual,
     find_roots,
     poly_mul,
@@ -27,10 +28,20 @@ from signspectra import (
     random_monic_polynomial,
     realize_even_sextic,
     realize_inertia,
+    realize_poly,
     refined_inertia_of,
     roots_to_quadratics,
 )
-from signspectra.roots import _SQUAREFREE_DEGREE_CAP, _roots_of_coeffs, _squarefree_factors, _zdiv_exact
+from signspectra import roots
+from signspectra.matrices import block_diag
+from signspectra.poly import _charpoly_scaled
+from signspectra.roots import (
+    _SQUAREFREE_DEGREE_CAP,
+    _roots_of_coeffs,
+    _squarefree_factors,
+    _zdiv_exact,
+)
+from signspectra.verify import _all_inertia_tuples
 
 F_FACTORS = (
     Polynomial((1, 1, 1)),
@@ -380,10 +391,11 @@ def test_root_multiset_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
 
 
 def test_find_roots_keeps_a_finite_tolerance_of_one_or_more():
-    # allowed, so a classification echo can report the miss itself; a float
-    # matrix is classified through find_roots at this tol
+    # allowed, so a caller can see what so loose a certificate accepts; the
+    # refined inertia validates tol but counts exactly without it
     m = realize_inertia((3, 3, 0, 1)).to_float()
-    assert refined_inertia_of(m, tol=10.0) == RefinedInertia(0, 0, 8, 0)
+    assert find_roots(char_poly(m), tol=10.0).n == 8
+    assert refined_inertia_of(m, tol=10.0) == RefinedInertia(3, 3, 0, 1)
 
 
 def test_backward_error_measures_perturbation():
@@ -616,6 +628,14 @@ def test_refined_inertia_of_diagonal():
     assert refined_inertia_of(m) == RefinedInertia(1, 1, 1, 0)
 
 
+def test_refined_inertia_of_rejects_what_is_not_a_matrix():
+    for rows in ([[1, 0], [0, 1]], builtin_pattern("D")):
+        with pytest.raises(TypeError, match="expected a matrix"):
+            refined_inertia_of(rows)
+        with pytest.raises(TypeError, match="expected a matrix"):
+            char_poly(rows)
+
+
 def test_refined_inertia_of_even_sextic_realization():
     m = realize_even_sextic(1, 2, 3)
     assert refined_inertia_of(m) == RefinedInertia(0, 0, 0, 3)
@@ -701,18 +721,63 @@ _LIFTED_FLOAT_INERTIA = {
 
 
 def test_exact_refined_inertia_of_the_lifted_float_images():
-    # the tolerance path raised RootFindingError on some of these at tol 1e-6,
-    # for example on (0, 4, 4, 0); the exact count answers all 95
-    tuples = [
-        (npos, 8 - 2 * ni - nz - npos, nz, ni)
-        for ni in range(5)
-        for nz in range(8 - 2 * ni + 1)
-        for npos in range(8 - 2 * ni - nz + 1)
-    ]
+    # find_roots at tol 1e-6 rejects the characteristic polynomials of 6 of
+    # these, (0, 4, 4, 0) among them: its closure snaps a pair like
+    # 2.2e-15 +- 2.98e-8i onto the axis.  The exact count answers all 95, on
+    # the float matrix at any tol as on its lift
+    tuples = list(_all_inertia_tuples())
     assert len(tuples) == 95
     for nu in tuples:
-        m = realize_inertia(nu).to_float().lift()
-        assert refined_inertia_of(m) == _LIFTED_FLOAT_INERTIA.get(nu, nu), nu
+        m = realize_inertia(nu).to_float()
+        expected = _LIFTED_FLOAT_INERTIA.get(nu, nu)
+        assert refined_inertia_of(m.lift()) == expected, nu
+        for tol in (1e-6, 1e-9):
+            assert refined_inertia_of(m, tol=tol) == expected, (nu, tol)
+
+
+@st.composite
+def _integer_blocks(draw):
+    # a square integer block: a random one of order 1-3, a zero block, or a
+    # 2x2 rotation block a*I + w*J with eigenvalues a +- i*w (a = 0 puts the
+    # pair on the imaginary axis)
+    kind = draw(st.sampled_from(("random", "zero", "rotation")))
+    n = draw(st.integers(1, 3))
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "rotation":
+        a, w = draw(st.sampled_from((0, 0, 1, -2))), draw(st.integers(1, 3))
+        return [[a, -w], [w, a]]
+    return [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(_integer_blocks(), min_size=1, max_size=5))
+@example([[[0, -1], [1, 0]], [[0]], [[0, 0], [0, 0]], [[2]], [[0, -3], [3, 0]]])
+def test_blockwise_refined_inertia_equals_the_whole_count(blocks):
+    # the sum over the diagonal blocks equals the uncut count on the whole
+    # matrix's characteristic polynomial, on one scale
+    m = block_diag(RationalMatrix.from_rows(b) for b in blocks)
+    assert refined_inertia_of(m) == roots._exact_inertia(_charpoly_scaled([m.entries])[0])
+
+
+def test_degree64_rational_realization_is_counted_on_its_blocks(monkeypatch):
+    # the count runs on the 6x6 and 2x2 blocks' polynomials, never on the
+    # degree-64 product, whose coefficients run to 100k bits
+    f = random_monic_polynomial(64, random.Random(64))
+    m = realize_poly(f, 8, 8, backend="rational").matrix
+    degrees = []
+    count = roots._exact_inertia
+
+    def spy(nums):
+        degrees.append(len(nums) - 1)
+        return count(nums)
+
+    monkeypatch.setattr(roots, "_exact_inertia", spy)
+    nu = refined_inertia_of(m)
+    assert sorted(degrees) == [2] * 8 + [6] * 8
+    # f's roots lie well off the imaginary axis, so the float solve agrees
+    rm = find_roots(f, tol=1e-9)
+    assert nu == RefinedInertia(sum(z.real > 0 for z in rm.roots), sum(z.real < 0 for z in rm.roots), 0, 0)
 
 
 def test_refined_inertia_tuple_helpers():
@@ -841,6 +906,8 @@ import sys
 import signspectra.cli as cli
 from signspectra import RefinedInertia, realize_inertia, refined_inertia_of
 assert refined_inertia_of(realize_inertia((2, 2, 0, 2))) == RefinedInertia(2, 2, 0, 2)
+# a float image whose polynomial find_roots rejects at tol 1e-6, counted exactly
+assert refined_inertia_of(realize_inertia((0, 4, 4, 0)).to_float(), tol=1e-6) == RefinedInertia(2, 4, 2, 0)
 cli.main(["inertia", "2", "2", "0", "2"], standalone_mode=False)
 assert "numpy" not in sys.modules, "numpy loaded by an exact classification"
 """
