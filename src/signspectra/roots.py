@@ -11,9 +11,9 @@ into squarefree factors and each factor goes through the same solver, so
 multiple roots (including high-order zero and purely imaginary roots) are
 located without the clustering loss that a float solve suffers.  The split is
 Yun's algorithm (Yun, SYMSAC 1976) run on the primitive integer polynomial
-with the same roots: denominators are cleared once, gcds come from a primitive
-pseudo-remainder sequence, and every quotient is an exact integer division, so
-no Fraction arithmetic runs until the monic factors are formed.
+with the same roots: denominators are cleared once, gcds are the last terms
+of signed remainder sequences, and every quotient is an exact integer
+division, so no Fraction arithmetic runs until the monic factors are formed.
 
 Conjugate closure has one rule, RootMultiset's, which find_roots applies once
 to the raw roots: near-real roots are snapped onto the axis, every other root
@@ -31,14 +31,13 @@ double, or NaN at both.
 
 The refined inertia of a matrix, rational or float (every double is a dyadic
 rational), is counted exactly, with no root and no tolerance, block by block
-on the integer characteristic polynomial of each diagonal block: a gcd splits
-off the roots z whose negative -z is a root too (the imaginary axis among
-them), a Sturm count of that gcd's negative roots in t**2 gives the imaginary
-pairs, and the Cauchy index of the cofactor along the imaginary axis gives
-the difference of the two half-planes (Routh-Hurwitz; Gantmacher, Theory of
-Matrices, vol. 2, ch. XV).  One sign-preserving pseudo-remainder serves the
-gcd and both Sturm sequences, and one integer Yun split serves this count and
-_squarefree_factors.
+on the integer characteristic polynomial q of each diagonal block, its zero
+roots stripped: one signed remainder sequence of the real and imaginary parts
+of q(iy) gives n_plus - n_minus as a Cauchy index (Routh-Hurwitz; Gantmacher,
+Theory of Matrices, vol. 2, ch. XV) and, as its last term, a multiple of
+gcd(q(t), q(-t)) = H(t**2) at t = iy; H's negative roots are the imaginary
+pairs.  One sign-preserving pseudo-remainder serves every remainder sequence,
+and one integer Yun split serves this count and _squarefree_factors.
 
 numpy is imported on the first companion-matrix solve, not with the module:
 the exact certificates, the exact refined inertia and the closed forms never
@@ -211,18 +210,23 @@ def _zprem(a: list, b: list) -> list:
     return _ztrim(r) if r else [0]
 
 
+def _sturm_sequence(a: list, b: list) -> list:
+    # a, b, then minus a positive multiple of the remainder of the two before,
+    # over its content, until the remainder vanishes
+    seq = [a]
+    while any(b):
+        seq.append(b)
+        r = _zprem(seq[-2], b)
+        g = -math.gcd(*r)
+        b = [c // g for c in r] if g else r
+    return seq
+
+
 def _zgcd(a: list, b: list) -> list:
     """Primitive gcd of two integer polynomials (a nonzero, no leading zero)
-    with a positive leading coefficient, by the primitive pseudo-remainder
-    sequence."""
-    a = _primitive(a)
-    b = _ztrim(b)
-    while any(b):
-        b = _primitive(b)
-        if len(b) == 1:
-            return [1]
-        a, b = b, _zprem(a, b)
-    return a
+    with a positive leading coefficient: the last term of their signed
+    remainder sequence, over its content."""
+    return _primitive(_sturm_sequence(a, _ztrim(b))[-1])
 
 
 def _zdiv_exact(a: list, b: list) -> list:
@@ -294,18 +298,6 @@ def _squarefree_factors(p: Polynomial) -> list:
 # --- exact refined inertia of an integer polynomial, by remainder sequences ---
 
 
-def _sturm_sequence(a: list, b: list) -> list:
-    # a, b, then minus a positive multiple of the remainder of the two before,
-    # over its content, until the remainder vanishes
-    seq = [a]
-    while any(b):
-        seq.append(b)
-        r = _zprem(seq[-2], b)
-        g = -math.gcd(*r)
-        b = [c // g for c in r] if g else r
-    return seq
-
-
 def _variations(values) -> int:
     # sign changes along a sequence of numbers, zeros skipped
     signs = [v > 0 for v in values if v]
@@ -323,30 +315,27 @@ def _exact_inertia(nums: list) -> RefinedInertia:
     vol. 2, ch. XV).
 
     The zero roots are the vanishing low coefficients; q is the rest.  With
-    q(t) = E(t**2) + t*O(t**2), gcd(q(t), q(-t)) = H(t**2) for H = gcd(E, O):
-    its roots are the z with -z a root of q too, each imaginary-axis root
-    with its full multiplicity.  A negative root s of H of multiplicity m is
-    m pairs +-i*sqrt(-s), counted by a Sturm count on (-inf, 0) of each of
-    H's squarefree factors; every other root of H gives one root in each
-    open half-plane.  The cofactor c = q / H(t**2) has no imaginary-axis
-    root, so the argument of c(iy) = A(y) + i*B(y) turns by
-    pi * (n_minus - n_plus) as y runs over the real line, and that is the
-    Cauchy index of B/A (deg c even) or -A/B (deg c odd), read off the sign
-    variations of the Sturm sequence at -inf and +inf.
+    q(t) = E(t**2) + t*O(t**2), q(iy) = A(y) + i*B(y) for A(y) = E(-y**2)
+    and B(y) = y*O(-y**2); one signed remainder sequence of A and B gives
+    the other counts.  Its last term is a constant times gcd(A, B) =
+    H(-y**2), H = gcd(E, O), so H is read off its even coefficients.
+    H(t**2) = gcd(q(t), q(-t)): its roots are the z with -z a root of q too,
+    each imaginary-axis root with its full multiplicity.  A negative root s
+    of H of multiplicity m is m pairs +-i*sqrt(-s), counted by a Sturm count
+    on (-inf, 0) of each of H's squarefree factors; every other root of H
+    gives one root in each open half-plane.  So n_plus - n_minus is that of
+    the cofactor c = q / H(t**2), which has no imaginary-axis root: the
+    argument of c(iy) turns by pi * (n_minus - n_plus) over the real line,
+    the Cauchy index of B/A (deg q even) or -A/B (deg q odd; deg c has the
+    same parity).  H(-y**2) cancels from that ratio and divides every term
+    of the sequence, so the index is read off the sequence's sign
+    variations at -inf and +inf.
     """
     n_zero = 0
     while not nums[n_zero]:
         n_zero += 1
     q = _primitive(nums[n_zero:])
     even, odd = _ztrim(q[0::2]), _ztrim(q[1::2] or [0])
-    h = _zgcd(even, odd)
-    n_imag = 0
-    if len(h) > 1:
-        for f, mult in _zyun(h):
-            seq = _sturm_sequence(f, _zderivative(f))
-            n_imag += mult * (_variations(map(_at_minus_inf, seq)) - _variations(p[0] for p in seq))
-        even, odd = _zdiv_exact(even, h), _zdiv_exact(odd, h)
-    # A(y) = E_c(-y**2) and B(y) = y * O_c(-y**2) for c(t) = E_c(t**2) + t*O_c(t**2)
     re = [0] * (2 * len(even) - 1)
     re[0::2] = [-c if j % 2 else c for j, c in enumerate(even)]
     im = [0] * (2 * len(odd))
@@ -354,10 +343,14 @@ def _exact_inertia(nums: list) -> RefinedInertia:
     im = _ztrim(im)
     seq = _sturm_sequence(re, im) if len(re) > len(im) else _sturm_sequence(im, re)
     index = _variations(map(_at_minus_inf, seq)) - _variations(p[-1] for p in seq)
-    deg_c = max(len(re), len(im)) - 1
-    diff = index if deg_c % 2 == 0 else -index  # n_plus - n_minus of c
-    pairs = len(h) - 1 - n_imag  # roots +-z of h off the imaginary axis
-    return RefinedInertia(pairs + (deg_c + diff) // 2, pairs + (deg_c - diff) // 2, n_zero, n_imag)
+    deg = len(q) - 1
+    diff = index if deg % 2 == 0 else -index  # n_plus - n_minus
+    h = _primitive([-c if j % 2 else c for j, c in enumerate(seq[-1][0::2])])
+    n_imag = 0
+    for f, mult in _zyun(h):
+        sturm = _sturm_sequence(f, _zderivative(f))
+        n_imag += mult * (_variations(map(_at_minus_inf, sturm)) - _variations(p[0] for p in sturm))
+    return RefinedInertia((deg - 2 * n_imag + diff) // 2, (deg - 2 * n_imag - diff) // 2, n_zero, n_imag)
 
 
 def _backward_errors(coeffs: list, zs) -> list:

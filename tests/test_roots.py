@@ -37,9 +37,12 @@ from signspectra.matrices import block_diag
 from signspectra.poly import _charpoly_scaled
 from signspectra.roots import (
     _SQUAREFREE_DEGREE_CAP,
+    _primitive,
     _roots_of_coeffs,
     _squarefree_factors,
     _zdiv_exact,
+    _zgcd,
+    _ztrim,
 )
 from signspectra.verify import _all_inertia_tuples
 
@@ -253,6 +256,23 @@ def test_exact_integer_division_raises_when_inexact():
     with pytest.raises(ArithmeticError, match="inexact"):
         _zdiv_exact([1, 0, 1], [1, 1])
     assert _zdiv_exact([1, 2, 1], [1, 1]) == [1, 1]
+
+
+_INT_POLY = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
+
+
+@PROPERTY_SETTINGS
+@given(_INT_POLY.filter(any), _INT_POLY, _INT_POLY.filter(lambda g: g[-1] != 0))
+def test_gcd_of_two_multiples_of_g(a, b, g):
+    # the gcd that the squarefree split and the refined inertia both rest on
+    ag = _ztrim([int(c) for c in pl_product([a, g])])
+    bg = _ztrim([int(c) for c in pl_product([b, g])])
+    h = _zgcd(ag, bg)
+    assert math.gcd(*h) == 1 and h[-1] > 0
+    _zdiv_exact(ag, h)
+    _zdiv_exact(bg, h)
+    _zdiv_exact(h, _primitive(g))
+    assert [Fraction(c, h[-1]) for c in h] == pl_gcd(ag, bg)
 
 
 @st.composite
@@ -655,6 +675,7 @@ def test_refined_inertia_counts_of_degree8_roots():
         else:
             n_minus += 1
     assert (n_plus, n_minus, n_zero, n_axis // 2) == (3, 3, 0, 1)
+    assert refined_inertia_of(_companion(list(f_degree8().coeffs))) == RefinedInertia(3, 3, 0, 1)
 
 
 def _companion(coeffs) -> RationalMatrix:
@@ -694,6 +715,10 @@ _INERTIA_FACTORS = st.one_of(
 @example([(([-1, 1], (1, 0, 0, 0)), 1)])  # an odd cofactor: the Cauchy index's sign
 @example([(([1, 0, 1], (0, 0, 0, 1)), 2)])  # (t**2 + 1)**2: H's roots with multiplicity
 @example([(([1, 0, 1], (0, 0, 0, 1)), 3), (([-4, 0, 1], (1, 1, 0, 0)), 2), (([0, 1], (0, 0, 1, 0)), 1)])
+@example([(([0, 1], (0, 0, 1, 0)), 3)])  # t**3: q is constant
+@example([(([-1, 1], (1, 0, 0, 0)), 1), (([1, 1, 1], (0, 2, 0, 0)), 1)])  # t**3 - 1: E trims short
+@example([(([2, -2, 1], (2, 0, 0, 0)), 1), (([2, 2, 1], (0, 2, 0, 0)), 1)])  # t**4 + 4 = H(t**2), off the axes
+@example([(([1, 0, 1], (0, 0, 0, 1)), 1), (([-4, 0, 1], (1, 1, 0, 0)), 1)])  # (t**2 + 1)(t**2 - 4): O = 0
 def test_exact_refined_inertia_of_known_products(factors):
     coeffs = pl_product([f for (f, _), mult in factors for _ in range(mult)])
     expected = [0, 0, 0, 0]
