@@ -23,7 +23,10 @@ is nums[k] / den, all ints.  The characteristic polynomial comes out in it,
 and so does any polynomial put over its common denominator.  Residuals
 compare two such forms over one denominator and round the quotient once;
 char_poly divides each coefficient out once at the end.  No Fraction matrix
-is built.
+is built.  poly_mul on the rational backend follows the same rule: with
+p = a / da and q = b / db over their common denominators, p * q is the int
+convolution of a and b over da * db, and each of its coefficients becomes a
+Fraction once, instead of a Fraction multiply-add (and its gcd) per term.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def _normalize_coeffs(coeffs):
             raise TypeError("cannot mix float and Fraction coefficients")
         return tuple([float(c) for c in coeffs])
     if all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return tuple([Fraction(c) for c in coeffs])
+        return tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
     raise TypeError("coefficients must be Fraction/int or float")
 
 
@@ -142,10 +145,28 @@ def _convolve(a: Sequence, b: Sequence) -> list:
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Product of monic polynomials on a common backend."""
+    """Product of monic polynomials on a common backend.
+
+    On the rational backend each factor is put over its own common
+    denominator, the ints are convolved, and each coefficient is divided by
+    the product of the two denominators once (see the module docstring).
+    """
     if p.backend != q.backend:
         raise ValueError(f"backend mismatch: {p.backend} * {q.backend}")
-    return Polynomial(tuple(_convolve(p.coeffs, q.coeffs)))
+    if p.backend == "float":
+        return Polynomial(tuple(_convolve(p.coeffs, q.coeffs)))
+    return _rational_product((p, q))
+
+
+def _rational_product(factors) -> Polynomial:
+    # poly_mul's rational rule over any number of factors: one Fraction per
+    # coefficient of the whole product
+    nums, den = [1], 1
+    for f in factors:
+        a, da = _over_common_denominator(f.coeffs)
+        nums = _convolve(a, nums)
+        den *= da
+    return _descaled(nums, den)
 
 
 @functools.lru_cache(maxsize=32)
@@ -378,15 +399,12 @@ def divisors_degree6(factors: Sequence[Polynomial]) -> list:
     factors = list(factors)
     if any(f.backend != "rational" for f in factors):
         raise ValueError("divisor enumeration requires the rational backend")
+    degrees = [f.degree for f in factors]
     out = []
     for mask in range(1, 1 << len(factors)):
-        chosen = [factors[i] for i in range(len(factors)) if mask >> i & 1]
-        if sum(f.degree for f in chosen) != 6:
-            continue
-        prod = chosen[0]
-        for f in chosen[1:]:
-            prod = poly_mul(prod, f)
-        out.append(prod)
+        chosen = [i for i in range(len(factors)) if mask >> i & 1]
+        if sum([degrees[i] for i in chosen]) == 6:
+            out.append(_rational_product([factors[i] for i in chosen]))
     return out
 
 

@@ -55,8 +55,12 @@ class GateError(ValueError):
 
 
 def _coerce(value, backend: str):
+    # an int stays an int on the rational backend: the 2x2 and even-sextic
+    # formulas never divide, and int arithmetic skips Fraction's gcd per step
+    if isinstance(value, bool):
+        raise TypeError("coefficients must be numbers, got bool")
     if backend == "rational":
-        return Fraction(value)
+        return value if isinstance(value, (int, Fraction)) else Fraction(value)
     if backend == "float":
         return float(value)
     raise ValueError(f"unknown backend {backend!r}")
@@ -136,7 +140,9 @@ def realize_sextic(target: Polynomial):
             f"got a3 = {target.coeffs[3]}, a5 = {target.coeffs[5]}"
         )
     a = target.coeffs
-    one = _coerce(1, target.backend)
+    # the monic lead, Fraction(1) or 1.0, not an int: these formulas divide,
+    # and an int on the left of a Fraction takes the slower reflected path
+    one = a[-1]
     x3 = one if a[5] == 0 else a[3] / a[5]
     params = _sextic_params(a, x3, one)
     for k, x in enumerate(params, start=1):

@@ -347,9 +347,10 @@ def _exact_inertia(nums: list) -> RefinedInertia:
     diff = index if deg % 2 == 0 else -index  # n_plus - n_minus
     h = _primitive([-c if j % 2 else c for j, c in enumerate(seq[-1][0::2])])
     n_imag = 0
-    for f, mult in _zyun(h):
-        sturm = _sturm_sequence(f, _zderivative(f))
-        n_imag += mult * (_variations(map(_at_minus_inf, sturm)) - _variations(p[0] for p in sturm))
+    if len(h) > 1:  # a constant H: no root of q has its negative as a root
+        for f, mult in _zyun(h):
+            sturm = _sturm_sequence(f, _zderivative(f))
+            n_imag += mult * (_variations(map(_at_minus_inf, sturm)) - _variations(p[0] for p in sturm))
     return RefinedInertia((deg - 2 * n_imag + diff) // 2, (deg - 2 * n_imag - diff) // 2, n_zero, n_imag)
 
 

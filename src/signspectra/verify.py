@@ -38,9 +38,9 @@ from .poly import (
     _charpoly_residual,
     _charpoly_scaled,
     _descaled,
+    _rational_product,
     char_poly,
     divisors_degree6,
-    poly_mul,
 )
 from .realize import _Report, _residual_bound, realize_even_sextic, realize_inertia, realize_poly, violates_sextic_gate
 from .roots import RefinedInertia, refined_inertia_of
@@ -256,9 +256,7 @@ def check_divisor_obstruction() -> DivisorObstructionReport:
         Polynomial((-1, 1)),
         Polynomial((1, 1)),
     )
-    target = factors[0]
-    for f in factors[1:]:
-        target = poly_mul(target, f)
+    target = _rational_product(factors)
     divisors = tuple(divisors_degree6(factors))
     violations = tuple(violates_sextic_gate(d) for d in divisors)
     return DivisorObstructionReport(

@@ -128,6 +128,35 @@ def test_poly_mul_known_products():
         assert (q * r).backend == q.backend
     with pytest.raises(ValueError, match="backend mismatch"):
         t2p1 * Polynomial((1.0, 0.0, 1.0))
+    # factors over coprime denominators: (t + 1/2)(t - 1/3) = t**2 + t/6 - 1/6
+    # and (t**2 + 2t/3 + 1/5)(t - 3/7) = t**3 + 5t**2/21 - 3t/35 - 3/35
+    F = Fraction
+    assert poly_mul(Polynomial((F(1, 2), 1)), Polynomial((F(-1, 3), 1))) == Polynomial((F(-1, 6), F(1, 6), 1))
+    prod = poly_mul(Polynomial((F(1, 5), F(2, 3), 1)), Polynomial((F(-3, 7), 1)))
+    assert prod.coeffs == (F(-3, 35), F(-3, 35), F(5, 21), 1)
+    assert all(type(c) is Fraction for c in prod.coeffs)
+
+
+_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+def test_rational_poly_mul_matches_the_fraction_schoolbook_product():
+    @PROPERTY_SETTINGS
+    @given(
+        st.lists(st.one_of(st.just(Fraction(0)), _RATIONALS), max_size=6),
+        st.lists(st.one_of(st.just(Fraction(0)), _RATIONALS), max_size=6),
+    )
+    def same_product(a, b):
+        a, b = a + [Fraction(1)], b + [Fraction(1)]
+        expected = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                expected[i + j] += x * y
+        prod = poly_mul(Polynomial(tuple(a)), Polynomial(tuple(b)))
+        assert prod.coeffs == tuple(expected)
+        assert all(type(c) is Fraction for c in prod.coeffs)
+
+    same_product()
 
 
 def test_char_poly_small_cases():

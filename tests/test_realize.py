@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -310,6 +311,15 @@ def test_realize_quadratic_float_backend():
 def test_realize_quadratic_rejects_an_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         realize_quadratic(1, 1, backend="decimal")
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_realize_quadratic_rejects_a_bool(backend):
+    # a bool is an int to isinstance; True, False would realize t**2 + t
+    with pytest.raises(TypeError, match="bool"):
+        realize_quadratic(True, False, backend=backend)
+    with pytest.raises(TypeError, match="bool"):
+        realize_quadratic(1, False, backend=backend)
 
 
 # --- triple selection ---------------------------------------------------------
@@ -665,6 +675,20 @@ def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch
         (1, 0, 1, 0): {(-1, 0)},
         (0, 1, 1, 0): {(1, 0)},
     }
+
+
+# sha256 of json.dumps([realize_inertia(nu).to_dict() for nu in _all_inertia_tuples()]),
+# the 95 matrices as the Fraction construction printed them
+_INERTIA_MATRICES_SHA256 = "5884aa6962c90d5461238ee55ee2c3141544386062b2ccb2296ce00574fa6a41"
+
+
+def test_realize_inertia_matrices_are_pinned_and_all_fractions():
+    matrices = [realize_inertia(nu) for nu in _all_inertia_tuples()]
+    assert len(matrices) == 95
+    # an int or a float (a / between two ints) leaking into an entry fails here
+    assert all(type(e) is Fraction for m in matrices for row in m.entries for e in row)
+    text = json.dumps([m.to_dict() for m in matrices])
+    assert hashlib.sha256(text.encode()).hexdigest() == _INERTIA_MATRICES_SHA256
 
 
 def test_realize_inertia_validation():

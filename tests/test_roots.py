@@ -805,6 +805,23 @@ def test_degree64_rational_realization_is_counted_on_its_blocks(monkeypatch):
     assert nu == RefinedInertia(sum(z.real > 0 for z in rm.roots), sum(z.real < 0 for z in rm.roots), 0, 0)
 
 
+def test_exact_inertia_splits_h_only_when_it_has_positive_degree(monkeypatch):
+    # H = gcd(E, O) is constant for t**2 + 3t + 2, so no root pairs with its
+    # negative and Yun's split is skipped; (t**2 + 1)(t + 1) has H = t + 1
+    calls = []
+    split = roots._zyun
+
+    def spy(h):
+        calls.append(list(h))
+        return split(h)
+
+    monkeypatch.setattr(roots, "_zyun", spy)
+    assert roots._exact_inertia([2, 3, 1]) == RefinedInertia(0, 2, 0, 0)
+    assert calls == []
+    assert roots._exact_inertia([1, 1, 1, 1]) == RefinedInertia(0, 1, 0, 1)
+    assert calls == [[1, 1]]
+
+
 def test_refined_inertia_tuple_helpers():
     nu = RefinedInertia(3, 3, 0, 1)
     assert nu.order() == 8
