@@ -34,7 +34,7 @@ from .realize import (
     realize_quadratic,
     realize_sextic,
     realize_subinertia,
-    select_triple,
+    select_triples,
     violates_sextic_gate,
 )
 from .roots import (
@@ -105,7 +105,7 @@ __all__ = [
     "roots_to_quadratics",
     "run_theorem_suite",
     "sample_conforming_matrix",
-    "select_triple",
+    "select_triples",
     "verify_realization",
     "violates_sextic_gate",
     "__version__",

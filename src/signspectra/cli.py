@@ -22,7 +22,7 @@ import sys
 
 from .patterns import builtin_pattern
 from .poly import polynomial_from_dict
-from .realize import realize_inertia, realize_poly, select_triple, zero_class_tol
+from .realize import realize_inertia, realize_poly, select_triples, zero_class_tol
 from .roots import RootFindingError, find_roots, refined_inertia_of, roots_to_quadratics
 from .verify import check_divisor_obstruction, check_identity, run_theorem_suite
 
@@ -120,11 +120,11 @@ def _factor(poly, tol):
     quads = roots_to_quadratics(find_roots(f, tol=tol))
     data = {"quadratics": [{"a": float(q.a), "b": float(q.b)} for q in quads]}
     if f.degree >= 16:
-        sel = select_triple(quads, zero_class_tol(quads, tol))
+        sel = select_triples(quads, 1, zero_class_tol(quads, tol))
         data["triple"] = {
-            "label": sel.label,
-            "quadratics": [{"a": float(q.a), "b": float(q.b)} for q in sel.triple],
-            "snapped": sel.snapped,
+            "label": sel.labels[0],
+            "quadratics": [{"a": float(q.a), "b": float(q.b)} for q in sel.triples[0]],
+            "snapped": sel.snapped[0],
         }
     return data, None
 

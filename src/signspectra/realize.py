@@ -9,9 +9,11 @@ or have a positive ratio.  No other sextic is realizable over T.
 
 A 2x2 construction realizes any monic quadratic over the pattern "D".  The
 block-diagonal engine splits an arbitrary monic target of degree 6t + 2d
-(d >= 5) into quadratics by root finding, groups sign-homogeneous triples of
-quadratics into degree-6 targets for the template, and routes the rest to 2x2
-blocks.  Finally, any refined inertia of total 8 is realized over diag(T, D).
+(d >= 5) into quadratics by root finding, picks t sign-homogeneous triples of
+them in one pass as degree-6 targets for the template, and routes the rest to
+2x2 blocks.  Finally, any refined inertia of total 8 is realized over diag(T, D).
+Each construction follows its values, as Polynomial does: floats give a
+FloatMatrix, ints and Fractions an exact RationalMatrix.
 
 "Large enough" free parameters are fixed in one pass by explicit lower bounds
 that make every positivity condition provable.  A float parameter that rounding
@@ -54,16 +56,10 @@ class GateError(ValueError):
     """Degree-6 target that violates the gate: a3 and a5 neither both zero nor of positive ratio."""
 
 
-def _coerce(value, backend: str):
-    # an int stays an int on the rational backend: the 2x2 and even-sextic
-    # formulas never divide, and int arithmetic skips Fraction's gcd per step
-    if isinstance(value, bool):
+def _reject_bools(*values) -> None:
+    # a bool is an int to isinstance: True, False would realize t**2 + t
+    if bool in map(type, values):
         raise TypeError("coefficients must be numbers, got bool")
-    if backend == "rational":
-        return value if isinstance(value, (int, Fraction)) else Fraction(value)
-    if backend == "float":
-        return float(value)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 def _sqrt_upper(q):
@@ -145,12 +141,14 @@ def realize_sextic(target: Polynomial):
     one = a[-1]
     x3 = one if a[5] == 0 else a[3] / a[5]
     params = _sextic_params(a, x3, one)
+    # a Fraction is finite, and its comparison with math.inf is a slow float branch
+    exact = target.backend == "rational"
     for k, x in enumerate(params, start=1):
-        if not 0 < x < math.inf:
+        if not (x > 0 and (exact or x < math.inf)):
             raise ArithmeticError(f"template parameter x{k} = {x} is not positive and finite")
     x1, x2, x3, x4, x5, x6, x7, x8, x9 = params
     o = one - one
-    cls = RationalMatrix if target.backend == "rational" else FloatMatrix
+    cls = RationalMatrix if exact else FloatMatrix
     return cls.from_rows(
         [
             [x1, one, o, o, o, o],
@@ -163,96 +161,96 @@ def realize_sextic(target: Polynomial):
     )
 
 
-def _sextic_target(quads, backend: str) -> Polynomial:
-    # product of three monic quadratics t**2 + q.a*t + q.b on the backend:
-    # poly_mul's convolutions on the coerced coefficients, validated once
-    one = _coerce(1, backend)
-    p0, p1, p2 = ((_coerce(q.b, backend), _coerce(q.a, backend), one) for q in quads)
+def _sextic_target(quads) -> Polynomial:
+    # product of three monic quadratics t**2 + q.a*t + q.b as given: poly_mul's
+    # convolutions, validated once; Polynomial takes the backend from the values
+    p0, p1, p2 = ((q.b, q.a, 1) for q in quads)
     return Polynomial(tuple(_convolve(_convolve(p0, p1), p2)))
 
 
 def realize_even_sextic(b, c, d):
-    """Exact matrix over pattern T with characteristic polynomial (t²+b)(t²+c)(t²+d).
+    """Matrix over pattern T with characteristic polynomial (t²+b)(t²+c)(t²+d).
 
-    Total for all rational b, c, d: the product has a3 = a5 = 0, so it passes
-    the gate and realize_sextic builds it (with x3 = 1).
+    Total: the product has a3 = a5 = 0, so it passes the gate and realize_sextic
+    builds it (with x3 = 1), exactly unless one of b, c, d is a float.
     """
-    return realize_sextic(_sextic_target([Quadratic(0, v) for v in (b, c, d)], "rational"))
+    _reject_bools(b, c, d)
+    return realize_sextic(_sextic_target([Quadratic(0, v) for v in (b, c, d)]))
 
 
-def realize_quadratic(p1, p0, backend: str = "rational"):
+def realize_quadratic(p1, p0):
     """2x2 matrix over pattern D with characteristic polynomial t**2 + p1*t + p0.
 
     [[alpha, 1], [-gamma, -delta]] with alpha = |p1| + |p0| + 2 and
     delta = alpha + p1 has trace -p1; gamma = p0 + alpha*delta makes the
     determinant p0, and alpha*delta > |p0| keeps gamma positive.  delta is
     formed as |p0| + 2 (p1 < 0) or 2*p1 + |p0| + 2 (p1 >= 0), which cannot
-    cancel in floating point.  Total and exact on the rational backend.
+    cancel in floating point.  Total: a FloatMatrix when p1 or p0 is a float,
+    as in Polynomial, and otherwise exact (on ints when both are ints).
     """
-    p1, p0 = _coerce(p1, backend), _coerce(p0, backend)
+    _reject_bools(p1, p0)
+    if isinstance(p1, float) or isinstance(p0, float):
+        p1, p0 = float(p1), float(p0)
+    cls = FloatMatrix if isinstance(p1, float) else RationalMatrix
     alpha = abs(p1) + abs(p0) + 2
     delta = abs(p0) + 2 if p1 < 0 else 2 * p1 + abs(p0) + 2
-    beta = _coerce(1, backend)
     gamma = p0 + alpha * delta
-    cls = RationalMatrix if backend == "rational" else FloatMatrix
-    return cls.from_rows([[alpha, beta], [-gamma, -delta]])
+    return cls.from_rows([[alpha, 1], [-gamma, -delta]])
 
 
 def zero_class_tol(quads, tol: float) -> float:
-    """The eps_zero realize_poly hands select_triple: tol scaled by the largest coefficient."""
+    """The eps_zero realize_poly hands select_triples: tol scaled by the largest coefficient."""
     return tol * (1.0 + max(max(abs(q.a), abs(q.b)) for q in quads))
 
 
 @dataclass(frozen=True)
 class TripleSelection:
-    """Result of picking a sign-homogeneous triple of quadratics."""
+    """Sign-homogeneous triples of quadratics, one label and one snapped sum each, and the rest."""
 
-    triple: tuple
+    triples: tuple
     rest: tuple
-    label: str
-    snapped: float
+    labels: tuple
+    snapped: tuple
 
 
-def select_triple(quads, eps_zero) -> TripleSelection:
-    """Pick three quadratics t**2 + a*t + b whose a's share a sign class.
+def select_triples(quads, t, eps_zero) -> TripleSelection:
+    """Pick t triples of quadratics t**2 + a*t + b whose a's share a sign class.
 
-    Among the quadratics with b >= 0, each a is classified as zero
-    (|a| <= eps_zero, snapped to exactly 0), positive, or negative; the
-    largest class wins (ties prefer zero, then positive) and its first three
-    members are returned in input order.  With at least 8 quadratics of which
-    at most one has b < 0, the pigeonhole principle guarantees a triple.
+    Each quadratic with b >= 0 is classified once by its a: zero (|a| <=
+    eps_zero, snapped to exactly 0), positive, or negative.  Each triple is the
+    first three left, in input order, of the class largest at its turn (ties
+    prefer zero, then positive), as t one-triple picks would choose; snapped[k]
+    sums the |a| dropped from triple k.  With at least 3t + 5 quadratics, at
+    most one with b < 0, the pigeonhole principle guarantees every triple.
     """
     quads = list(quads)
-    if eps_zero <= 0:
-        raise ValueError("eps_zero must be positive")
-    if len(quads) < 8:
-        raise ValueError(f"need at least 8 quadratics, got {len(quads)}")
+    if not 0 < eps_zero < math.inf:
+        raise ValueError(f"eps_zero must be positive and finite, got {eps_zero}")
+    if len(quads) < 3 * t + 5:
+        raise ValueError(f"need at least {3 * t + 5} quadratics, got {len(quads)}")
     if sum(1 for q in quads if q.b < 0) > 1:
         raise ValueError("at most one quadratic may have a negative constant term")
-    zero_idx, pos_idx, neg_idx = [], [], []
+    classes = {"zero": [], "positive": [], "negative": []}
     for i, q in enumerate(quads):
-        if q.b < 0:
-            continue
-        if abs(q.a) <= eps_zero:
-            zero_idx.append(i)
-        elif q.a > 0:
-            pos_idx.append(i)
-        else:
-            neg_idx.append(i)
-    classes = {"zero": zero_idx, "positive": pos_idx, "negative": neg_idx}
-    label = max(classes, key=lambda k: len(classes[k]))
-    chosen = classes[label][:3]
-    snapped = 0.0
-    triple = []
-    for i in chosen:
-        q = quads[i]
-        if label == "zero" and q.a != 0:
-            snapped += abs(float(q.a))
-            q = Quadratic(q.a - q.a, q.b)
-        triple.append(q)
-    chosen_set = set(chosen)
-    rest = tuple([q for i, q in enumerate(quads) if i not in chosen_set])
-    return TripleSelection(tuple(triple), rest, label, snapped)
+        if not q.b < 0:
+            classes["zero" if abs(q.a) <= eps_zero else "positive" if q.a > 0 else "negative"].append(i)
+    triples, labels, snapped, taken = [], [], [], set()
+    for _ in range(t):
+        label = max(classes, key=lambda k: len(classes[k]))
+        chosen, classes[label] = classes[label][:3], classes[label][3:]
+        taken.update(chosen)
+        triple, total = [], 0.0
+        for i in chosen:
+            q = quads[i]
+            if label == "zero" and q.a != 0:
+                total += abs(float(q.a))
+                q = Quadratic(q.a - q.a, q.b)
+            triple.append(q)
+        triples.append(tuple(triple))
+        labels.append(label)
+        snapped.append(total)
+    rest = tuple([q for i, q in enumerate(quads) if i not in taken])
+    return TripleSelection(tuple(triples), rest, tuple(labels), tuple(snapped))
 
 
 @dataclass(frozen=True)
@@ -285,11 +283,12 @@ def realize_poly(
     """Realize a monic target of degree 6t + 2d over t template and d 2x2 blocks.
 
     Needs d >= 5.  Roots are extracted once and grouped into 3t + d monic
-    quadratics; while template blocks remain, a sign-homogeneous triple is
-    multiplied into a degree-6 block target (sign homogeneity makes it pass
-    the gate; the snapped zero class gives a3 = a5 = 0), and the rest map to
-    2x2 blocks.  At most one quadratic has a negative constant term and it
-    always lands in a 2x2 block, which keeps the triple selection fed.
+    quadratics, lifted to Fractions on the rational backend; select_triples
+    picks t sign-homogeneous triples, each multiplied into a degree-6 block
+    target (sign homogeneity makes it pass the gate; the snapped zero class
+    gives a3 = a5 = 0), and the rest map to 2x2 blocks.  At most one quadratic
+    has a negative constant term and it always lands in a 2x2 block, which
+    keeps the triple selection fed.
 
     Conformance and the residual are checked on the blocks before the dense
     matrix is assembled.  The residual is computed exactly: the product of the
@@ -322,15 +321,14 @@ def realize_poly(
 
     quads = roots_to_quadratics(find_roots(f, tol=tol))
     eps_zero = zero_class_tol(quads, tol)
-
-    t_blocks = []
-    perturbation = 0.0
-    for _ in range(t):
-        sel = select_triple(quads, eps_zero)
-        quads = list(sel.rest)
-        perturbation += sel.snapped
-        t_blocks.append(realize_sextic(_sextic_target(sel.triple, backend)))
-    d_blocks = [realize_quadratic(q.a, q.b, backend=backend) for q in quads]
+    if backend == "rational":
+        quads = [q.lift() for q in quads]
+    sel = select_triples(quads, t, eps_zero)
+    t_blocks = [realize_sextic(_sextic_target(triple)) for triple in sel.triples]
+    d_blocks = [realize_quadratic(q.a, q.b) for q in sel.rest]
+    perturbation = 0.0  # added left to right: sum() compensates from Python 3.12
+    for snapped in sel.snapped:
+        perturbation += snapped
 
     if arrangement == "grouped":
         blocks = t_blocks + d_blocks

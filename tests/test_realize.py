@@ -31,7 +31,8 @@ from signspectra import (
     realize_sextic,
     realize_subinertia,
     refined_inertia_of,
-    select_triple,
+    roots_to_quadratics,
+    select_triples,
     verify_realization,
     violates_sextic_gate,
 )
@@ -109,6 +110,16 @@ def test_realize_even_sextic_float_backend():
     assert isinstance(m, FloatMatrix)
     assert conforms(m, T)
     assert coefficient_residual(char_poly(m), target) <= 1e-12
+    # float values give the float construction, as realize_sextic does
+    assert realize_even_sextic(1.0, 2.0, 3.0) == m
+    assert realize_even_sextic(1, 2.0, Fraction(3)) == m
+
+
+def test_realize_even_sextic_rejects_a_bool():
+    # a bool is an int to isinstance; True would read as 1
+    for values in ((True, 2, 3), (1, 2, False), (1.0, True, 3.0)):
+        with pytest.raises(TypeError, match="bool"):
+            realize_even_sextic(*values)
 
 
 def test_realize_even_sextic_random_exact():
@@ -302,24 +313,25 @@ def test_realize_quadratic_conforms_and_exact():
 
 
 def test_realize_quadratic_float_backend():
-    m = realize_quadratic(0.5, -2.0, backend="float")
+    m = realize_quadratic(0.5, -2.0)
     assert isinstance(m, FloatMatrix)
     assert conforms(m, D)
     assert coefficient_residual(char_poly(m), Polynomial((-2.0, 0.5, 1.0))) <= 1e-15
+    # one float commits both coefficients to floats, as in Polynomial
+    assert realize_quadratic(Fraction(1, 2), -2.0) == m
+    assert realize_quadratic(0.5, -2) == m
+    assert isinstance(realize_quadratic(Fraction(1, 2), -2), RationalMatrix)
 
 
-def test_realize_quadratic_rejects_an_unknown_backend():
-    with pytest.raises(ValueError, match="unknown backend"):
-        realize_quadratic(1, 1, backend="decimal")
-
-
-@pytest.mark.parametrize("backend", ["rational", "float"])
-def test_realize_quadratic_rejects_a_bool(backend):
+@pytest.mark.parametrize("one", [1, 1.0], ids=["rational", "float"])
+def test_realize_quadratic_rejects_a_bool(one):
     # a bool is an int to isinstance; True, False would realize t**2 + t
     with pytest.raises(TypeError, match="bool"):
-        realize_quadratic(True, False, backend=backend)
+        realize_quadratic(True, False)
     with pytest.raises(TypeError, match="bool"):
-        realize_quadratic(1, False, backend=backend)
+        realize_quadratic(one, False)
+    with pytest.raises(TypeError, match="bool"):
+        realize_quadratic(True, one)
 
 
 # --- triple selection ---------------------------------------------------------
@@ -331,48 +343,76 @@ def quads_from_a(avals, b=1.0):
 
 def test_select_triple_zero_class_snaps():
     quads = quads_from_a([1e-12, -1e-12, 0.0, 5e-13, 2.0, -2.0, 3e-13, 1e-12])
-    sel = select_triple(quads, 1e-9)
-    assert sel.label == "zero"
-    assert all(q.a == 0.0 for q in sel.triple)
-    assert sel.snapped == pytest.approx(2e-12)
+    sel = select_triples(quads, 1, 1e-9)
+    assert sel.labels == ("zero",)
+    assert all(q.a == 0.0 for q in sel.triples[0])
+    assert sel.snapped[0] == pytest.approx(2e-12)
     assert len(sel.rest) == 5
 
 
 def test_select_triple_majority_class_in_input_order():
     quads = quads_from_a([1.0, 2.0, -1.0, -2.0, 3.0, -3.0, 0.0, 4.0])
-    sel = select_triple(quads, 1e-9)
-    assert sel.label == "positive"
-    assert tuple(q.a for q in sel.triple) == (1.0, 2.0, 3.0)
+    sel = select_triples(quads, 1, 1e-9)
+    assert sel.labels == ("positive",)
+    assert tuple(q.a for q in sel.triples[0]) == (1.0, 2.0, 3.0)
     assert tuple(q.a for q in sel.rest) == (-1.0, -2.0, -3.0, 0.0, 4.0)
-    assert sel.snapped == 0.0
+    assert sel.snapped == (0.0,)
 
 
 def test_select_triple_negative_class_can_win():
     quads = quads_from_a([1e-12, -1e-12, 1.0, 2.0, -1.0, -2.0, -3.0])
     quads.append(Quadratic(0.0, -1.0))  # negative constant term: excluded from classes
-    sel = select_triple(quads, 1e-9)
-    assert sel.label == "negative"
-    assert tuple(q.a for q in sel.triple) == (-1.0, -2.0, -3.0)
+    sel = select_triples(quads, 1, 1e-9)
+    assert sel.labels == ("negative",)
+    assert tuple(q.a for q in sel.triples[0]) == (-1.0, -2.0, -3.0)
     assert Quadratic(0.0, -1.0) in sel.rest
 
 
 def test_select_triple_tie_breaks():
     # zero and positive classes tie at 3: zero wins
     quads = quads_from_a([1e-12, 0.0, -5e-13, 1.0, 2.0, 5.0, -1.0, -2.0])
-    assert select_triple(quads, 1e-9).label == "zero"
+    assert select_triples(quads, 1, 1e-9).labels == ("zero",)
     # positive and negative tie at 3: positive wins
     quads = quads_from_a([1e-12, -1e-12, 1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
-    assert select_triple(quads, 1e-9).label == "positive"
+    assert select_triples(quads, 1, 1e-9).labels == ("positive",)
+
+
+def test_select_triples_takes_the_largest_class_at_each_turn():
+    # five positive, four zero, four negative and one b < 0: positive, then
+    # zero (its tie with negative at four goes to zero), then negative
+    quads = quads_from_a([1.0, 0.0, -1.0, 2.0, 1e-12, -2.0, 3.0, -3.0, 4.0, 0.0, 5.0, -4.0, 0.0])
+    quads.append(Quadratic(7.0, -1.0))
+    sel = select_triples(quads, 3, 1e-9)
+    assert sel.labels == ("positive", "zero", "negative")
+    assert [[q.a for q in triple] for triple in sel.triples] == [
+        [1.0, 2.0, 3.0],
+        [0.0, 0.0, 0.0],
+        [-1.0, -2.0, -3.0],
+    ]
+    assert sel.snapped == (0.0, 1e-12, 0.0)
+    assert sel.rest == (*quads_from_a([4.0, 5.0, -4.0, 0.0]), Quadratic(7.0, -1.0))
+    assert select_triples(quads, 0, 1e-9) == realize.TripleSelection((), tuple(quads), (), ())
 
 
 def test_select_triple_validation():
-    with pytest.raises(ValueError, match="at least 8"):
-        select_triple(quads_from_a([1.0] * 7), 1e-9)
+    with pytest.raises(ValueError, match="need at least 8 quadratics"):
+        select_triples(quads_from_a([1.0] * 7), 1, 1e-9)
+    with pytest.raises(ValueError, match="need at least 11 quadratics"):
+        select_triples(quads_from_a([1.0] * 10), 2, 1e-9)
     bad = quads_from_a([1.0] * 6) + [Quadratic(1.0, -1.0), Quadratic(2.0, -2.0)]
     with pytest.raises(ValueError, match="at most one"):
-        select_triple(bad, 1e-9)
+        select_triples(bad, 1, 1e-9)
     with pytest.raises(ValueError, match="eps_zero"):
-        select_triple(quads_from_a([1.0] * 8), 0.0)
+        select_triples(quads_from_a([1.0] * 8), 1, 0.0)
+
+
+@pytest.mark.parametrize("eps_zero", [math.nan, math.inf])
+def test_select_triples_rejects_a_non_finite_eps_zero(eps_zero):
+    # at NaN every comparison is false, so a = 1e-12 fell in the positive
+    # class; at inf a = 2 and a = 3 were snapped to 0
+    quads = quads_from_a([1e-12, 2.0, 3.0, 4.0, -1.0, -2.0, 5.0, 6.0])
+    with pytest.raises(ValueError, match="eps_zero must be positive and finite"):
+        select_triples(quads, 1, eps_zero)
 
 
 EPS_ZERO = 1e-9
@@ -403,16 +443,65 @@ def test_select_triple_always_takes_the_largest_class(pairs, negative_at):
     chosen = classes[label][:3]
     assert len(chosen) == 3
 
-    sel = select_triple(quads, EPS_ZERO)
-    assert sel.label == label
+    sel = select_triples(quads, 1, EPS_ZERO)
+    assert sel.labels == (label,)
     if label == "zero":
         expected = [Quadratic(0.0, quads[i].b) for i in chosen]
-        assert sel.snapped == sum(abs(quads[i].a) for i in chosen)
+        assert sel.snapped == (sum(abs(quads[i].a) for i in chosen),)
     else:
         expected = [quads[i] for i in chosen]
-        assert sel.snapped == 0.0
-    assert list(sel.triple) == expected
+        assert sel.snapped == (0.0,)
+    assert list(sel.triples[0]) == expected
     assert list(sel.rest) == [q for i, q in enumerate(quads) if i not in chosen]
+
+
+def _greedy_pick(quads, eps_zero):
+    # one triple as the single-pick greedy rule states it: classify what is
+    # left, take the first three of the largest class (ties: zero, positive,
+    # negative), snap a zero-class a to 0 and sum the |a| it drops
+    classes = {"zero": [], "positive": [], "negative": []}
+    for i, q in enumerate(quads):
+        if not q.b < 0:
+            label = "zero" if abs(q.a) <= eps_zero else "positive" if q.a > 0 else "negative"
+            classes[label].append(i)
+    label = max(classes, key=lambda k: len(classes[k]))
+    chosen = classes[label][:3]
+    snapped = 0.0
+    triple = []
+    for i in chosen:
+        q = quads[i]
+        if label == "zero" and q.a != 0:
+            snapped += abs(q.a)
+            q = Quadratic(0.0, q.b)
+        triple.append(q)
+    rest = [q for i, q in enumerate(quads) if i not in chosen]
+    return tuple(triple), label, snapped, rest
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 4),
+    st.lists(st.tuples(_A_VALUES, st.floats(0.0, 1e3)), min_size=8, max_size=20),
+    st.one_of(st.none(), st.integers(0, 19)),
+)
+def test_select_triples_equals_successive_single_picks(t, pairs, negative_at):
+    # t up to 4, as many as the 3t + 5 quadratics drawn allow
+    quads = [Quadratic(a, b) for a, b in pairs]
+    t = min(t, (len(quads) - 5) // 3)
+    if negative_at is not None and negative_at < len(quads):
+        quads[negative_at] = Quadratic(quads[negative_at].a, -1.0)
+    triples, labels, snapped, rest = [], [], [], quads
+    for _ in range(t):
+        triple, label, s, rest = _greedy_pick(rest, EPS_ZERO)
+        triples.append(triple)
+        labels.append(label)
+        snapped.append(s)
+
+    sel = select_triples(quads, t, EPS_ZERO)
+    assert sel.triples == tuple(triples)
+    assert sel.labels == tuple(labels)
+    assert sel.snapped == tuple(snapped)
+    assert sel.rest == tuple(rest)
 
 
 # --- block-diagonal realization ----------------------------------------------
@@ -524,13 +613,62 @@ def test_realize_poly_residual_equals_the_dense_residual():
         assert verify_realization(report, report.residual)
 
 
+def _pinned_realizations():
+    # seeded rational quadratics q1 q2^2 ... q5^5 (degree 30), t**38 times one
+    # more (degree 40, also as a float target), and a degree-22 target whose
+    # two triples both come from the zero class with nonzero a's; every root
+    # comes from the exact squarefree split, the exact zero strip and the
+    # closed-form quadratic, so no LAPACK rounding enters the digest
+    rng = random.Random(29)
+
+    def quad():
+        a = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        return Polynomial((Fraction(rng.randint(-40, 40), rng.randint(1, 9)), a, 1))
+
+    for _ in range(2):
+        q = [quad() for _ in range(5)]
+        f30 = product([p for k, p in enumerate(q) for _ in range(k + 1)])
+        for t, d in ((0, 15), (1, 12), (3, 6)):
+            yield f30, dict(t=t, d=d)
+        f40 = product([Polynomial((0, 1))] * 38 + [quad()])
+        for target in (f40, f40.to_float()):
+            for arrangement in ("grouped", "alternating"):
+                yield target, dict(t=5, d=5, arrangement=arrangement)
+    zero = [Polynomial((k, Fraction(k, 10**11), 1)) for k in (2, 3)]
+    f22 = product([zero[0]] * 5 + [zero[1]] * 3 + [Polynomial((4, 3, 1))] * 2 + [Polynomial((5, -1, 1))])
+    yield f22, dict(t=2, d=5)
+
+
+# sha256 of json.dumps([realize_poly(f, backend=backend, **kwargs).to_dict() ...])
+# over _pinned_realizations() and both backends, as the per-turn selection
+# loop and the backend-coerced constructions printed them
+_REALIZATIONS_SHA256 = "40c2ea82d0963f60c856299f6568485f94c6ac41e84fc80b7f423015dceb3a2f"
+
+
+def test_realize_poly_reports_are_pinned():
+    reports = [
+        realize_poly(f, backend=backend, **kwargs)
+        for f, kwargs in _pinned_realizations()
+        for backend in ("float", "rational")
+    ]
+    assert len(reports) == 30
+    # the last target's two triples are zero-class, each with a snapped a
+    f22 = reports[-1].target
+    quads = roots_to_quadratics(find_roots(f22))
+    sel = select_triples(quads, 2, realize.zero_class_tol(quads, 1e-9))
+    assert sel.labels == ("zero", "zero") and all(s > 0 for s in sel.snapped)
+    assert reports[-1].perturbation == sel.snapped[0] + sel.snapped[1]
+    text = json.dumps([r.to_dict() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == _REALIZATIONS_SHA256
+
+
 def test_realize_poly_checks_each_block_conforms(monkeypatch):
     # a 2x2 block with one sign flipped fails the per-block check before the
     # residual bound is reached
     built = []
 
-    def flipped(p1, p0, backend="rational"):
-        block = realize_quadratic(p1, p0, backend=backend)
+    def flipped(p1, p0):
+        block = realize_quadratic(p1, p0)
         built.append(block)
         if len(built) == 3:
             (alpha, beta), row = block.entries
