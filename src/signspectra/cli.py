@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .patterns import builtin_pattern
 from .poly import polynomial_from_dict
 from .realize import realize_inertia, realize_poly, select_triples, zero_class_tol
-from .roots import RootFindingError, find_roots, refined_inertia_of, roots_to_quadratics
+from .roots import RootFindingError, _check_tol, find_roots, refined_inertia_of, roots_to_quadratics
 from .verify import check_divisor_obstruction, check_identity, run_theorem_suite
 
 
@@ -39,27 +38,16 @@ def _load_poly(path: str):
         raise ValueError(f"invalid polynomial input: {e}") from None
 
 
-def _check_tol(tol: float, below_one: bool = True) -> None:
-    # inf would make every residual bound pass, and nan fails every comparison
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be positive and finite")
-    if below_one and tol >= 1:
-        raise ValueError(
-            "tolerance must be below 1: a backward error never exceeds 1, so any point would pass"
-        )
-
-
 def _realize(poly, t, d, tol, backend):
     """Realize a monic degree-(6T + 2D) polynomial over the composite pattern.
 
     POLY is a polynomial JSON file, or - for stdin.
     """
-    _check_tol(tol)
     f = _load_poly(poly)
     return realize_poly(f, t, d, tol=tol, backend=backend).to_dict(), None
 
 
-def _inertia(n_plus, n_minus, n_zero, n_imag, tol):
+def _inertia(n_plus, n_minus, n_zero, n_imag):
     """Build an 8x8 matrix over diag(T, D) with the requested refined inertia.
 
     The four arguments count eigenvalues with positive real part, negative
@@ -68,11 +56,9 @@ def _inertia(n_plus, n_minus, n_zero, n_imag, tol):
     its refined inertia is classified exactly, with no tolerance; exits 1
     when the classification differs from the request.
     """
-    # --tol is still checked: a non-positive or non-finite value is a usage error
-    _check_tol(tol, below_one=False)
     nu = (n_plus, n_minus, n_zero, n_imag)
     matrix = realize_inertia(nu)
-    classified = refined_inertia_of(matrix, tol=tol)
+    classified = refined_inertia_of(matrix)
     data = {"matrix": matrix.to_dict(), "requested": list(nu), "classified": list(classified)}
     if tuple(classified) != nu:
         return data, f"classified inertia {list(classified)} differs from the request"
@@ -85,6 +71,7 @@ def _verify(which, samples, seed, tol):
 
     Exits 1 when any requested check fails.
     """
+    # checked here, as identities and divisors never reach find_roots
     _check_tol(tol)
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -113,7 +100,6 @@ def _factor(poly, tol):
     When the degree is at least 16, also report the sign-homogeneous triple
     the realization engine would route to a 6x6 block.
     """
-    _check_tol(tol)
     f = _load_poly(poly)
     if f.degree < 2 or f.degree % 2:
         raise ValueError(f"degree must be even and at least 2, got {f.degree}")
@@ -183,12 +169,6 @@ def _build_parser() -> _Parser:
     sub = command(_inertia, "Build an 8x8 matrix with a given refined inertia.")
     for name in ("n_plus", "n_minus", "n_zero", "n_imag"):
         sub.add_argument(name, metavar=name.upper(), type=int)
-    sub.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="Accepted and checked, but unused: the exact matrix is classified exactly.",
-    )
 
     sub = command(_verify, "Run the exact certificates.")
     sub.add_argument(

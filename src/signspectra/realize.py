@@ -296,10 +296,10 @@ def realize_poly(
     entries and compared with the target's exact value before anything is
     rounded, so float cancellation cannot hide a miss.  A residual above
     10*tol*degree, or a template parameter that float rounding leaves
-    nonpositive, raises ArithmeticError.  tol must be below 1: a root's backward error is at most
-    1, so a larger tol would certify any point.  arrangement is "grouped" (template blocks first) or
-    "alternating" (template and 2x2 blocks interleaved; needs t == d), which
-    changes the conforming pattern but not the spectrum.
+    nonpositive, raises ArithmeticError.  find_roots, tol's first use,
+    raises ValueError unless 0 < tol < 1.  arrangement is "grouped" (template
+    blocks first) or "alternating" (template and 2x2 blocks interleaved;
+    needs t == d), which changes the conforming pattern but not the spectrum.
     """
     if d < 5:
         raise ValueError("d must be at least 5")
@@ -313,11 +313,6 @@ def realize_poly(
         raise ValueError("alternating arrangement needs t == d")
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
-    if tol >= 1:
-        raise ValueError(
-            f"tol must be below 1, got {tol}: a backward error never exceeds 1, "
-            "so the root certificate and the residual bound would accept anything"
-        )
 
     quads = roots_to_quadratics(find_roots(f, tol=tol))
     eps_zero = zero_class_tol(quads, tol)

@@ -36,8 +36,9 @@ roots stripped: one signed remainder sequence of the real and imaginary parts
 of q(iy) gives n_plus - n_minus as a Cauchy index (Routh-Hurwitz; Gantmacher,
 Theory of Matrices, vol. 2, ch. XV) and, as its last term, a multiple of
 gcd(q(t), q(-t)) = H(t**2) at t = iy; H's negative roots are the imaginary
-pairs.  One sign-preserving pseudo-remainder serves every remainder sequence,
-and one integer Yun split serves this count and _squarefree_factors.
+pairs, counted along H's chain of gcds with its derivative.  One
+sign-preserving pseudo-remainder serves every remainder sequence, and the
+integer Yun split serves _squarefree_factors only.
 
 numpy is imported on the first companion-matrix solve, not with the module:
 the exact certificates, the exact refined inertia and the closed forms never
@@ -72,9 +73,12 @@ class RootFindingError(RuntimeError):
 
 
 def _check_tol(tol) -> None:
-    # at inf every root would snap onto the real axis, and NaN fails every comparison
+    # the package's one tolerance rule: at inf every root would snap onto the
+    # real axis, NaN fails every comparison, and a backward error is at most 1
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if tol >= 1:
+        raise ValueError(f"tol must be below 1, got {tol}: a backward error never exceeds 1, so any point would pass")
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,9 @@ class RootMultiset:
     Every root must be finite.  A root with |Im| <= tol is stored on the real
     axis; every other root must come with its exact conjugate, as LAPACK's
     dgeev returns a complex pair (wr + i*wi, wr - i*wi) and the closed forms
-    build theirs from one value.  Anything else, and a tol that is not
-    positive and finite, raises ValueError.  Stored sorted by (Re, Im), a
-    pair as the root above the axis and its conjugate.
+    build theirs from one value.  Anything else, and a tol outside
+    0 < tol < 1 (_check_tol), raises ValueError.  Stored sorted by (Re, Im),
+    a pair as the root above the axis and its conjugate.
     """
 
     roots: tuple
@@ -321,15 +325,17 @@ def _exact_inertia(nums: list) -> RefinedInertia:
     H(-y**2), H = gcd(E, O), so H is read off its even coefficients.
     H(t**2) = gcd(q(t), q(-t)): its roots are the z with -z a root of q too,
     each imaginary-axis root with its full multiplicity.  A negative root s
-    of H of multiplicity m is m pairs +-i*sqrt(-s), counted by a Sturm count
-    on (-inf, 0) of each of H's squarefree factors; every other root of H
-    gives one root in each open half-plane.  So n_plus - n_minus is that of
-    the cofactor c = q / H(t**2), which has no imaginary-axis root: the
-    argument of c(iy) turns by pi * (n_minus - n_plus) over the real line,
-    the Cauchy index of B/A (deg q even) or -A/B (deg q odd; deg c has the
-    same parity).  H(-y**2) cancels from that ratio and divides every term
-    of the sequence, so the index is read off the sequence's sign
-    variations at -inf and +inf.
+    of H of multiplicity m is m pairs +-i*sqrt(-s); every other root of H
+    gives one root in each open half-plane.  The Sturm sequence of (h, h')
+    counts h's distinct roots in (-inf, 0) (h(0) != 0, as q(0) != 0), and
+    its last term is gcd(h, h'), whose roots are h's with multiplicity one
+    less, so the counts along that chain from h = H add up the
+    multiplicities.  So n_plus - n_minus is that of the cofactor
+    c = q / H(t**2), which has no imaginary-axis root: the argument of c(iy)
+    turns by pi * (n_minus - n_plus) over the real line, the Cauchy index of
+    B/A (deg q even) or -A/B (deg q odd; deg c has the same parity).
+    H(-y**2) cancels from that ratio and divides every term of the sequence,
+    so the index is read off the sequence's sign variations at -inf and +inf.
     """
     n_zero = 0
     while not nums[n_zero]:
@@ -347,10 +353,10 @@ def _exact_inertia(nums: list) -> RefinedInertia:
     diff = index if deg % 2 == 0 else -index  # n_plus - n_minus
     h = _primitive([-c if j % 2 else c for j, c in enumerate(seq[-1][0::2])])
     n_imag = 0
-    if len(h) > 1:  # a constant H: no root of q has its negative as a root
-        for f, mult in _zyun(h):
-            sturm = _sturm_sequence(f, _zderivative(f))
-            n_imag += mult * (_variations(map(_at_minus_inf, sturm)) - _variations(p[0] for p in sturm))
+    while len(h) > 1:  # a constant H: no root of q has its negative as a root
+        sturm = _sturm_sequence(h, _zderivative(h))
+        n_imag += _variations(map(_at_minus_inf, sturm)) - _variations(p[0] for p in sturm)
+        h = _primitive(sturm[-1])
     return RefinedInertia((deg - 2 * n_imag + diff) // 2, (deg - 2 * n_imag - diff) // 2, n_zero, n_imag)
 
 
@@ -400,9 +406,9 @@ def find_roots(p: Polynomial, tol: float = 1e-9) -> RootMultiset:
     The error is computed once per conjugate pair, at the root above the
     axis: the stored pairs are exact conjugates and the coefficients are
     real, so the root below has bitwise the same error (see the module
-    docstring), and the bound holds for it too.  tol must be positive and
-    finite, or ValueError is raised: at inf every root would snap onto the
-    real axis and pass the certificate.
+    docstring), and the bound holds for it too.  tol must satisfy
+    0 < tol < 1, or ValueError is raised: at inf every root would snap onto
+    the real axis, and at 1 or more any point would pass the certificate.
     """
     if p.degree < 1:
         raise ValueError("cannot extract roots of a constant polynomial")
@@ -484,8 +490,8 @@ def refined_inertia_of(matrix, tol: float = 1e-9) -> RefinedInertia:
     ints over the block's common denominator (a positive scale keeps the
     inertia), give an integer characteristic polynomial, and _exact_inertia
     counts it by remainder sequences, with no root.  A FloatMatrix is counted
-    on the exact rationals its doubles are.  tol is validated (positive and
-    finite) but unused.
+    on the exact rationals its doubles are.  tol is validated (0 < tol < 1)
+    but unused.
     """
     _check_tol(tol)
     counts = [0, 0, 0, 0]

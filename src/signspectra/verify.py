@@ -152,9 +152,6 @@ def _identity_holds(which: str, a: list) -> bool:
     expected3 = head * a[4][5] * a[5][4]
     if which == "Tprime":
         expected3 = expected3 - a[0][1] * a[1][2] * a[2][0]
-        # every entry of the cycle is nonzero, so a3 and a5 cannot both vanish
-        if c3 == 0 and c5 == 0:
-            return False
     return c3 == expected3 and c5 == expected5
 
 

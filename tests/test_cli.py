@@ -102,29 +102,34 @@ def test_realize_usage_errors():
         "realize", "-", "--t", "1", "--d", "5", "--tol", "0", input=poly_json(DEGREE16)
     )
     assert result.exit_code == 2
-    assert "tolerance must be positive" in result.stderr
+    assert "tol must be positive" in result.stderr
+
+
+def assert_one_usage_error(result, message):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0], result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 @pytest.mark.parametrize(
-    "args, stdin",
+    "args, stdin, message",
     [
-        (("realize", "-", "--t", "1", "--d", "5"), poly_json(DEGREE16)),
-        (("inertia", "2", "2", "0", "2"), None),
-        (("factor", "-"), poly_json(DEGREE8)),
-        (("verify", "theorem", "--samples", "10"), None),
+        (("realize", "-", "--t", "1", "--d", "5"), poly_json(DEGREE16), "tol must be positive and finite"),
+        # inertia counts exactly and takes no --tol
+        (("inertia", "2", "2", "0", "2"), None, "unrecognized arguments: --tol"),
+        (("factor", "-"), poly_json(DEGREE8), "tol must be positive and finite"),
+        (("verify", "theorem", "--samples", "10"), None, "tol must be positive and finite"),
     ],
     ids=["realize", "inertia", "factor", "verify"],
 )
-def test_non_finite_tolerance_is_a_usage_error(args, stdin, tol):
+def test_non_finite_tolerance_is_a_usage_error(args, stdin, message, tol):
     # an infinite tolerance would pass any residual bound, and nan fails
     # every comparison with a misleading message
-    result = run(*args, "--tol", tol, input=stdin)
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "tolerance must be positive and finite" in result.stderr
-    assert "Traceback" not in result.output + result.stderr
-    assert result.stdout == ""
+    assert_one_usage_error(run(*args, "--tol", tol, input=stdin), message)
 
 
 @pytest.mark.parametrize("tol", ["1", "1e10"])
@@ -140,12 +145,7 @@ def test_non_finite_tolerance_is_a_usage_error(args, stdin, tol):
 def test_tolerance_of_one_or_more_is_a_usage_error(args, stdin, tol):
     # a backward error never exceeds 1, so a root certificate at tol >= 1
     # passes any point and the residual bound 10 * tol * degree any residual
-    result = run(*args, "--tol", tol, input=stdin)
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "tolerance must be below 1" in result.stderr
-    assert "Traceback" not in result.output + result.stderr
-    assert result.stdout == ""
+    assert_one_usage_error(run(*args, "--tol", tol, input=stdin), "tol must be below 1")
 
 
 def test_realize_unattainable_tolerance_fails_cleanly():
@@ -529,9 +529,23 @@ def test_unreadable_poly_is_a_usage_error(tmp_path):
             assert result.stdout == ""
 
 
+def test_poly_file_reads_as_stdin_does(tmp_path):
+    path = tmp_path / "target.json"
+    path.write_text(poly_json(DEGREE16))
+    for args in (("realize", "{}", "--t", "1", "--d", "5"), ("factor", "{}")):
+        from_file = run(*(a.format(path) for a in args))
+        from_stdin = run(*(a.format("-") for a in args), input=poly_json(DEGREE16))
+        assert from_file.exit_code == from_stdin.exit_code == 0, from_file.stderr
+        assert from_file.stdout == from_stdin.stdout
+
+
 def test_option_abbreviations_are_rejected():
     # --to must not be read as --tol
-    for args, stdin in ((("factor", "-"), poly_json(DEGREE8)), (("inertia", "2", "2", "0", "2"), None)):
+    for args, stdin in (
+        (("factor", "-"), poly_json(DEGREE8)),
+        (("verify", "divisors"), None),
+        (("inertia", "2", "2", "0", "2"), None),
+    ):
         result = run(*args, "--to", "1e-9", input=stdin)
         assert result.exit_code == 2
         assert "unrecognized arguments: --to" in result.stderr

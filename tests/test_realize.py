@@ -704,9 +704,11 @@ def test_realize_poly_rejects_tolerance_of_one_or_more():
     # passes any point and the bound 10 * tol * degree passes any residual
     rng = random.Random(3)
     f = Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(16)) + (1.0,))
-    for tol in (1.0, 1e10, math.inf):
+    for tol in (1.0, 1e10):
         with pytest.raises(ValueError, match="tol must be below 1"):
             realize_poly(f, 1, 5, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        realize_poly(f, 1, 5, tol=math.inf)
 
 
 def test_realize_poly_report_serializes():

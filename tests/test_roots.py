@@ -410,12 +410,16 @@ def test_root_multiset_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
         RootMultiset((1 + 2j, 1 - 2j), tol)
 
 
-def test_find_roots_keeps_a_finite_tolerance_of_one_or_more():
-    # allowed, so a caller can see what so loose a certificate accepts; the
-    # refined inertia validates tol but counts exactly without it
-    m = realize_inertia((3, 3, 0, 1)).to_float()
-    assert find_roots(char_poly(m), tol=10.0).n == 8
-    assert refined_inertia_of(m, tol=10.0) == RefinedInertia(3, 3, 0, 1)
+@pytest.mark.parametrize("tol", [1.0, 1e10])
+def test_every_tolerance_check_rejects_one_or_more(tol):
+    # a backward error never exceeds 1, so at tol 1 find_roots would certify
+    # the double root 0 of t**2 + 1/4, whose roots are +-i/2
+    with pytest.raises(ValueError, match="tol must be below 1"):
+        find_roots(Polynomial((0.25, 0.0, 1.0)), tol=tol)
+    with pytest.raises(ValueError, match="tol must be below 1"):
+        RootMultiset((0.5j, -0.5j), tol)
+    with pytest.raises(ValueError, match="tol must be below 1"):
+        refined_inertia_of(realize_inertia((3, 3, 0, 1)), tol=tol)
 
 
 def test_backward_error_measures_perturbation():
@@ -807,15 +811,16 @@ def test_degree64_rational_realization_is_counted_on_its_blocks(monkeypatch):
 
 def test_exact_inertia_splits_h_only_when_it_has_positive_degree(monkeypatch):
     # H = gcd(E, O) is constant for t**2 + 3t + 2, so no root pairs with its
-    # negative and Yun's split is skipped; (t**2 + 1)(t + 1) has H = t + 1
+    # negative and no Sturm count runs; (t**2 + 1)(t + 1) has H = t + 1,
+    # squarefree, so its gcd chain stops after one Sturm sequence
     calls = []
-    split = roots._zyun
+    derivative = roots._zderivative
 
     def spy(h):
         calls.append(list(h))
-        return split(h)
+        return derivative(h)
 
-    monkeypatch.setattr(roots, "_zyun", spy)
+    monkeypatch.setattr(roots, "_zderivative", spy)
     assert roots._exact_inertia([2, 3, 1]) == RefinedInertia(0, 2, 0, 0)
     assert calls == []
     assert roots._exact_inertia([1, 1, 1, 1]) == RefinedInertia(0, 1, 0, 1)

@@ -421,6 +421,25 @@ def test_verify_realization_rejects_offblock_entries():
         assert not verify_realization(report, tol=1.0)
 
 
+def test_verify_realization_rejects_block_orders_that_do_not_partition_n():
+    # the cut and residual checks alone pass both: 4 is a cut of D (+) D, and
+    # so is 2, and the matrix's char poly is the target exactly
+    d = builtin_pattern("D")
+    report = RealizationReport(
+        matrix=RationalMatrix.from_rows([[3, 1, 0, 0], [-10, -3, 0, 0], [0, 0, 3, 1], [0, 0, -10, -3]]),
+        pattern=block_diag([d, d]),
+        target=poly_mul(Polynomial((1, 0, 1)), Polynomial((1, 0, 1))),
+        residual=0.0,
+        perturbation=0.0,
+        block_orders=(2, 2),
+        block_tags=("D", "D"),
+        backend="rational",
+    )
+    assert verify_realization(report, tol=0.0)
+    for orders in ((4, 0), (2,)):
+        assert not verify_realization(dataclasses.replace(report, block_orders=orders), tol=0.0), orders
+
+
 def test_verify_realization_float_report():
     rng = random.Random(8)
     f = random_monic_polynomial(16, rng)
