@@ -148,7 +148,7 @@ def _build_parser() -> _Parser:
         sub = commands.add_parser(
             body.__name__[1:], help=summary, description=body.__doc__, allow_abbrev=False
         )
-        sub.set_defaults(body=body)
+        sub.set_defaults(body=body, parser=sub)
         return sub
 
     tol_help = "Root-finding tolerance (default: %(default)s)."
@@ -181,7 +181,9 @@ def _build_parser() -> _Parser:
         "--samples", type=int, default=1000, help="Samples per identity check (default: %(default)s)."
     )
     sub.add_argument("--seed", type=int, default=0, help="Sampling seed (default: %(default)s).")
-    sub.add_argument("--tol", type=float, default=1e-9, help=tol_help)
+    sub.add_argument(
+        "--tol", type=float, default=1e-9, help=tol_help + "  Checked, but unused by identities and divisors."
+    )
 
     sub = command(_factor, "Split a polynomial into monic quadratics.")
     sub.add_argument("poly", metavar="POLY", help=poly_help)
@@ -230,8 +232,12 @@ def main(argv=None, standalone_mode: bool = True):
     otherwise return that code as an int.
     """
     try:
-        args = vars(_PARSER.parse_args(argv))
-        body, out = args.pop("body"), args.pop("out")
+        namespace, extra = _PARSER.parse_known_args(argv)
+        args = vars(namespace)
+        body, out, parser = args.pop("body"), args.pop("out"), args.pop("parser")
+        if extra:
+            # reported by the command's parser, so that its usage line comes first
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         data, error = body(**args)
         # --out is opened only now, so a command that fails first creates no file
         _write(json.dumps(data, indent=2) + "\n", out)

@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import mul
 
 from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
 from .patterns import builtin_pattern
-from .poly import Polynomial, Quadratic, _charpoly_scaled, _convolve, _residual
+from .poly import Polynomial, Quadratic, _charpoly_scaled, _convolve, _over_common_denominator, _residual
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
 
 
@@ -109,6 +110,49 @@ def _sextic_params(a, x3, one) -> tuple:
     return x1, x2, x3, x4, x5, x6, x7, x8, x9
 
 
+def _exact_sextic_params(a) -> tuple:
+    # _sextic_params on a rational target, on ints: each margin is an int over
+    # a power of one base b = d*q*r (d the target's common denominator,
+    # x3 = p/q and s = S/r).  Returns the nine numerators and their positive
+    # denominators, unreduced.
+    (a0, a1, a2, a3, a4, a5, _), d = _over_common_denominator(a)
+    x3 = Fraction(a3, a5) if a5 else Fraction(1)
+    p, q = x3.numerator, x3.denominator
+    gap = p * d - a4 * q
+    s = _sqrt_upper(Fraction(gap, q * d)) if gap > 0 else Fraction(0)
+    r = s.denominator
+    b = d * q * r
+    b2 = b * b
+    b3 = b2 * b
+    a0, a1, a2, a4, a5 = (c * q * r for c in (a0, a1, a2, a4, a5))
+    x3b = p * d * r
+    sb = s.numerator * d * q
+    # x1, x2 over b; x4, k5, x5, x9 over b2; u, w over b3; v = vn / (b2*x1)
+    x1 = b + abs(a5) + sb
+    x2 = b + sb + max(0, 2 * a5)
+    x4 = x1 * x1 + a5 * x1 + (a4 - x3b) * b
+    k5 = x3b * x3b - a4 * x3b + a2 * b
+    x9 = b2 + max(0, -k5)
+    x5 = b2 + max(0, k5)
+    u = a1 * b2 + x1 * x5 + a5 * x9
+    w = a0 * b2 - x9 * (x3b - a4)
+    vn = b3 + w
+    # the maxes, cross-multiplied: max(1, 1 - u) = m/b3, x8 = max(m/b3, v),
+    # x6 = max(1, u + 1, u + v), and x7 = max(1, x1*m/b3 - w) over b3*b, as
+    # x1 - w <= x1*(1 - u) - w exactly when u <= 0
+    m = b3 - min(0, u)
+    x8, d8 = (vn, b2 * x1) if vn * b > m * x1 else (m, b3)
+    x6, d6 = b3 + max(0, u), b3
+    if (uv := u * x1 + vn * b) > x6 * x1:
+        x6, d6 = uv, b3 * x1
+    x7 = max(b3 * b, x1 * m - w * b)
+    return (x1, x2, p, x4, x5, x6, x7, x8, x9), (b, b, q, b2, b2, d6, b3 * b, d8, b2)
+
+
+# the sign of the template entry that holds each parameter x1..x9
+_SIGNS = (1, -1, -1, -1, -1, -1, 1, 1, 1)
+
+
 def realize_sextic(target: Polynomial):
     """Matrix over pattern T matching a monic degree-6 target that passes the gate.
 
@@ -124,7 +168,9 @@ def realize_sextic(target: Polynomial):
 
     It is built on the target's backend: a RationalMatrix, exact, for a
     rational target and a FloatMatrix for a float one.  x3 is a3/a5, or 1
-    when a3 = a5 = 0, and the other eight follow in one closed-form pass.
+    when a3 = a5 = 0, and the other eight follow in one closed-form pass;
+    on a rational target that pass runs on integers over one common base,
+    and each entry becomes a Fraction once.
     Raises GateError exactly when violates_sextic_gate holds: such sextics
     admit no realization over T.  A float parameter that rounding leaves
     nonpositive or non-finite (x3 underflow, x4 cancellation, overflow)
@@ -136,27 +182,31 @@ def realize_sextic(target: Polynomial):
             f"got a3 = {target.coeffs[3]}, a5 = {target.coeffs[5]}"
         )
     a = target.coeffs
-    # the monic lead, Fraction(1) or 1.0, not an int: these formulas divide,
-    # and an int on the left of a Fraction takes the slower reflected path
+    # the monic lead, Fraction(1) or 1.0
     one = a[-1]
-    x3 = one if a[5] == 0 else a[3] / a[5]
-    params = _sextic_params(a, x3, one)
-    # a Fraction is finite, and its comparison with math.inf is a slow float branch
-    exact = target.backend == "rational"
+    if target.backend == "rational":
+        cls, (params, dens) = RationalMatrix, _exact_sextic_params(a)
+        # the denominators are positive, so each numerator carries its
+        # parameter's sign, and each entry is one Fraction, made signed
+        entries = list(map(Fraction, map(mul, _SIGNS, params), dens))
+    else:
+        cls, params = FloatMatrix, _sextic_params(a, a[3] / a[5] if a[5] else one, one)
+        entries = list(map(mul, _SIGNS, params))
     for k, x in enumerate(params, start=1):
-        if not (x > 0 and (exact or x < math.inf)):
-            raise ArithmeticError(f"template parameter x{k} = {x} is not positive and finite")
-    x1, x2, x3, x4, x5, x6, x7, x8, x9 = params
-    o = one - one
-    cls = RationalMatrix if exact else FloatMatrix
+        if not 0 < x < math.inf:
+            value = _SIGNS[k - 1] * entries[k - 1]
+            raise ArithmeticError(f"template parameter x{k} = {value} is not positive and finite")
+    # n_k is the entry -x_k
+    x1, n2, n3, n4, n5, n6, x7, x8, x9 = entries
+    o = cls.zero
     return cls.from_rows(
         [
             [x1, one, o, o, o, o],
-            [-x4, -x2, one, o, o, o],
+            [n4, n2, one, o, o, o],
             [o, o, o, one, o, o],
             [o, o, o, o, one, o],
-            [-x6, -x5, o, o, o, one],
-            [x7, x8, x9, o, -x3, o],
+            [n6, n5, o, o, o, one],
+            [x7, x8, x9, o, n3, o],
         ]
     )
 
@@ -391,7 +441,9 @@ def realize_subinertia(nu) -> tuple:
     an even sextic does it.  Otherwise at least three eigenvalues sit off the
     axes: two eigenvalues are dropped from nu, three real ones are realized by
     a scaled cubic, and the remaining degree-3 factor h is fixed; scaling the
-    cubic by doubling N makes the product pass the a3/a5 gate.
+    cubic by doubling N makes the product pass the a3/a5 gate.  N runs
+    through 1, 2, 4 and 8, which suffices for every nu of total 8; past it
+    the construction raises ArithmeticError naming nu.
     """
     nu = _as_inertia(nu)
     if nu.order() != 8:
@@ -427,10 +479,11 @@ def realize_subinertia(nu) -> tuple:
     h = _class_poly((mu.n_plus - s_plus, mu.n_minus - s_minus, mu.n_zero, mu.n_imag))
 
     # on the 95 inertias of total 8 the gate is passed by N = 8
-    n = 1
-    while violates_sextic_gate(target := Polynomial(tuple(_convolve([c3 * n**3, c2 * n**2, c1 * n, 1], h)))):
-        n *= 2
-    return mu, realize_sextic(target)
+    for n in (1, 2, 4, 8):
+        target = Polynomial(tuple(_convolve([c3 * n**3, c2 * n**2, c1 * n, 1], h)))
+        if not violates_sextic_gate(target):
+            return mu, realize_sextic(target)
+    raise ArithmeticError(f"no cubic scale N up to 8 passes the sextic gate for {tuple(nu)}")
 
 
 def realize_inertia(nu):

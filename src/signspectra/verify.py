@@ -265,13 +265,14 @@ def check_divisor_obstruction() -> DivisorObstructionReport:
     )
 
 
-def verify_realization(report, tol: float) -> bool:
+def verify_realization(report, bound: float) -> bool:
     """Recompute a realization report's claims independently.
 
     Checks conformance, that every declared block boundary is a cut of the
     matrix (everything outside the declared diagonal blocks is exactly zero),
     and that the exact characteristic polynomial of the matrix's entries
-    matches the target within tol (0 demands exactness).
+    matches the target: its largest coefficient residual is at most bound
+    (0 demands exactness).
     """
     matrix, orders = report.matrix, report.block_orders
     if matrix.n != report.pattern.n or report.target.degree != matrix.n:
@@ -282,7 +283,7 @@ def verify_realization(report, tol: float) -> bool:
         return False
     if not set(accumulate(block_orders(matrix))).issuperset(accumulate(orders)):
         return False
-    return _charpoly_residual(matrix, report.target) <= tol
+    return _charpoly_residual(matrix, report.target) <= bound
 
 
 @dataclass(frozen=True)

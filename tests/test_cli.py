@@ -552,10 +552,25 @@ def test_option_abbreviations_are_rejected():
         assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (("inertia", "2", "2", "0", "2", "--tol", "1e-9"), None),
+        (("factor", "-", "--to", "1e-9"), poly_json(DEGREE8)),
+    ],
+    ids=["inertia", "factor"],
+)
+def test_unknown_option_after_a_command_prints_that_commands_usage(args, stdin):
+    result = run(*args, input=stdin)
+    assert_one_usage_error(result, "unrecognized arguments: ")
+    assert result.stderr.startswith(f"usage: signspectra {args[0]} ")
+
+
 def test_missing_or_unknown_command_is_a_usage_error():
     for args in ((), ("nonsense",)):
         result = run(*args)
         assert result.exit_code == 2
+        assert result.stderr.startswith("usage: signspectra [-h] COMMAND")
         assert [x for x in result.stderr.splitlines() if x.startswith("Error:")]
         assert "Traceback" not in result.stderr
         assert result.stdout == ""

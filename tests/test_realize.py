@@ -268,6 +268,30 @@ def test_realize_sextic_float_sign_homogeneous_triples(sign, quads):
     assert conforms(m, T)
 
 
+_RATIONAL = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@PROPERTY_SETTINGS
+@given(
+    low=st.tuples(_RATIONAL, _RATIONAL, _RATIONAL),
+    a5=_RATIONAL,
+    ratio=st.one_of(st.none(), st.builds(Fraction, st.integers(1, 50), st.integers(1, 12))),
+    gap=st.one_of(_RATIONAL, _RATIONAL.map(lambda r: r * r)),
+)
+def test_realize_sextic_exact_parameters_equal_the_fraction_formulas(low, a5, ratio, gap):
+    # the integer kernel against _sextic_params on Fractions: a3 = a5 = 0 when
+    # ratio is None or a5 = 0, a5 of either sign, and x3 - a4 = gap negative
+    # (s = 0), a rational square (s exact) or a non-square (s rounded up)
+    a3, a5 = (Fraction(0), Fraction(0)) if ratio is None else (ratio * a5, a5)
+    one = Fraction(1)
+    x3 = one if a5 == 0 else ratio
+    target = Polynomial((*low, a3, x3 - gap, a5, one))
+    assert not violates_sextic_gate(target)
+    m = realize_sextic(target)
+    assert template_params(m) == realize._sextic_params(target.coeffs, x3, one)
+    assert all(type(e) is Fraction for row in m.entries for e in row)
+
+
 def test_realize_sextic_random_exact():
     rng = random.Random(77)
     count = 0
@@ -758,6 +782,14 @@ def test_realize_subinertia_validation():
         realize_subinertia((1, 1, 1, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         realize_subinertia((-1, 1, 0, 4))
+
+
+def test_realize_subinertia_raises_when_no_cubic_scale_passes_the_gate(monkeypatch):
+    # the cubic t**3 at every N: nu = (3, 1, 4, 0) keeps mu = (3, 1, 2, 0), so
+    # h = (t + 1) t**2 and the sextic t**6 + t**5 has a3 = 0 but a5 = 1
+    monkeypatch.setattr(realize, "_CUBICS", (((3, 0), (0, 0, 0)),))
+    with pytest.raises(ArithmeticError, match=r"\(3, 1, 4, 0\)"):
+        realize_subinertia((3, 1, 4, 0))
 
 
 def test_realize_inertia_spot_checks():

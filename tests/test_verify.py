@@ -377,7 +377,7 @@ def exact_report():
 def test_verify_realization_accepts_exact_report():
     report = exact_report()
     assert report.residual == 0.0
-    assert verify_realization(report, tol=0.0)
+    assert verify_realization(report, bound=0.0)
 
 
 def test_verify_realization_rejects_tampering():
@@ -385,15 +385,15 @@ def test_verify_realization_rejects_tampering():
     rows = [list(row) for row in report.matrix.entries]
     rows[0][0] = -rows[0][0]
     tampered = dataclasses.replace(report, matrix=RationalMatrix.from_rows(rows))
-    assert not verify_realization(tampered, tol=0.0)
+    assert not verify_realization(tampered, bound=0.0)
 
     wrong_target = dataclasses.replace(
         report, target=Polynomial((1,) + (0,) * 9 + (1,))
     )
-    assert not verify_realization(wrong_target, tol=0.0)
+    assert not verify_realization(wrong_target, bound=0.0)
 
     short_target = dataclasses.replace(report, target=Polynomial((0, 0, 1)))
-    assert not verify_realization(short_target, tol=0.0)
+    assert not verify_realization(short_target, bound=0.0)
 
 
 def test_verify_realization_rejects_offblock_entries():
@@ -418,7 +418,7 @@ def test_verify_realization_rejects_offblock_entries():
             backend="rational",
         )
         assert conforms(report.matrix, report.pattern)
-        assert not verify_realization(report, tol=1.0)
+        assert not verify_realization(report, bound=1.0)
 
 
 def test_verify_realization_rejects_block_orders_that_do_not_partition_n():
@@ -435,17 +435,17 @@ def test_verify_realization_rejects_block_orders_that_do_not_partition_n():
         block_tags=("D", "D"),
         backend="rational",
     )
-    assert verify_realization(report, tol=0.0)
+    assert verify_realization(report, bound=0.0)
     for orders in ((4, 0), (2,)):
-        assert not verify_realization(dataclasses.replace(report, block_orders=orders), tol=0.0), orders
+        assert not verify_realization(dataclasses.replace(report, block_orders=orders), bound=0.0), orders
 
 
 def test_verify_realization_float_report():
     rng = random.Random(8)
     f = random_monic_polynomial(16, rng)
     report = realize_poly(f, 1, 5)
-    assert verify_realization(report, tol=1e-6)
-    assert not verify_realization(report, tol=0.0)
+    assert verify_realization(report, bound=1e-6)
+    assert not verify_realization(report, bound=0.0)
 
 
 # --- the full suite --------------------------------------------------------------
