@@ -231,13 +231,17 @@ def main(argv=None, standalone_mode: bool = True):
     With standalone_mode, exit the process with the command's exit code;
     otherwise return that code as an int.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         namespace, extra = _PARSER.parse_known_args(argv)
         args = vars(namespace)
         body, out, parser = args.pop("body"), args.pop("out"), args.pop("parser")
         if extra:
-            # reported by the command's parser, so that its usage line comes first
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            # the usage line that comes first is the top-level one when a leftover
+            # precedes the command's name, and the command's otherwise
+            before = argv[: argv.index(body.__name__[1:])]
+            reporter = _PARSER if set(before) & set(extra) else parser
+            reporter.error(f"unrecognized arguments: {' '.join(extra)}")
         data, error = body(**args)
         # --out is opened only now, so a command that fails first creates no file
         _write(json.dumps(data, indent=2) + "\n", out)

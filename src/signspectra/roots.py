@@ -9,10 +9,11 @@ backward-error certificate in find_roots is the only gate on the result.  A
 rational polynomial of degree at most _SQUAREFREE_DEGREE_CAP is first split
 into squarefree factors and each factor goes through the same solver, so
 multiple roots (including high-order zero and purely imaginary roots) are
-located without the clustering loss that a float solve suffers.  The split is
-Yun's algorithm (Yun, SYMSAC 1976) run on the primitive integer polynomial
-with the same roots: denominators are cleared once, gcds are the last terms
-of signed remainder sequences, and every quotient is an exact integer
+located without the clustering loss that a float solve suffers.  The split
+walks the gcd chain g, gcd(g, g'), ... of the primitive integer polynomial
+with the same roots, and reads the factors off the chain by exact division
+(Musser's gcd-chain method): denominators are cleared once, gcds are the last
+terms of signed remainder sequences, and every quotient is an exact integer
 division, so no Fraction arithmetic runs until the monic factors are formed.
 
 Conjugate closure has one rule, RootMultiset's, which find_roots applies once
@@ -37,8 +38,9 @@ of q(iy) gives n_plus - n_minus as a Cauchy index (Routh-Hurwitz; Gantmacher,
 Theory of Matrices, vol. 2, ch. XV) and, as its last term, a multiple of
 gcd(q(t), q(-t)) = H(t**2) at t = iy; H's negative roots are the imaginary
 pairs, counted along H's chain of gcds with its derivative.  One
-sign-preserving pseudo-remainder serves every remainder sequence, and the
-integer Yun split serves _squarefree_factors only.
+sign-preserving pseudo-remainder serves every remainder sequence, and one
+gcd chain (_gcd_chain) serves both the refined inertia and the squarefree
+split.
 
 numpy is imported on the first companion-matrix solve, not with the module:
 the exact certificates, the exact refined inertia and the closed forms never
@@ -226,13 +228,6 @@ def _sturm_sequence(a: list, b: list) -> list:
     return seq
 
 
-def _zgcd(a: list, b: list) -> list:
-    """Primitive gcd of two integer polynomials (a nonzero, no leading zero)
-    with a positive leading coefficient: the last term of their signed
-    remainder sequence, over its content."""
-    return _primitive(_sturm_sequence(a, _ztrim(b))[-1])
-
-
 def _zdiv_exact(a: list, b: list) -> list:
     # a / b over the integers.  b is primitive, so by Gauss's lemma a quotient
     # that is exact over the rationals has integer coefficients.
@@ -256,47 +251,34 @@ def _zderivative(p: list) -> list:
     return [k * p[k] for k in range(1, len(p))] or [0]
 
 
-def _zsub(a: list, b: list) -> list:
-    out = a + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _ztrim(out)
-
-
-def _zyun(a: list) -> list:
-    # Yun's split of a primitive integer polynomial into (squarefree factor,
-    # multiplicity), in increasing multiplicity: every gcd is primitive with a
-    # positive leading coefficient and every quotient an exact integer division
-    da = _zderivative(a)
-    g = _zgcd(a, da)
-    if len(g) == 1:
-        return [(a, 1)]
-    b = _zdiv_exact(a, g)
-    d = _zsub(_zdiv_exact(da, g), _zderivative(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        ai = _zgcd(b, d)
-        if len(ai) > 1:
-            out.append((ai, i))
-            b = _zdiv_exact(b, ai)
-            d = _zdiv_exact(d, ai)
-        d = _zsub(d, _zderivative(b))
-        i += 1
-    return out
+def _gcd_chain(h: list):
+    # (g, the Sturm sequence of (g, g')) for g = h, gcd(h, h'), gcd(g, g'), ...
+    # while g is not constant; h is primitive with a positive leading
+    # coefficient, and so is every g.  The sequence's last term is a multiple
+    # of gcd(g, g'), whose roots are g's with multiplicity one less.
+    while len(h) > 1:
+        sturm = _sturm_sequence(h, _zderivative(h))
+        yield h, sturm
+        h = _primitive(sturm[-1])
 
 
 def _squarefree_factors(p: Polynomial) -> list:
     """Decompose a monic rational polynomial into (squarefree factor, multiplicity).
 
-    Yun's algorithm (_zyun) on the primitive integer polynomial with p's
-    roots: the denominators are cleared once, and the factors come back
-    monic, in increasing multiplicity.
+    The gcd chain g_0 = a, g_1, ..., g_M (_gcd_chain), then g_{M+1} = 1, of
+    the primitive integer polynomial a with p's roots: the layer g_k / g_{k+1}
+    holds, once each, the roots of multiplicity above k, so layer k - 1 over
+    layer k is the factor of multiplicity k (Musser's gcd-chain method).
+    The denominators are cleared once, every quotient is an exact integer
+    division, constant factors are dropped, and the factors come back monic,
+    in increasing multiplicity.
     """
-    factors = _zyun(_primitive(_over_common_denominator(p.coeffs)[0]))
-    if len(factors) == 1 and factors[0][1] == 1:  # squarefree: p itself
+    chain = [g for g, _ in _gcd_chain(_primitive(_over_common_denominator(p.coeffs)[0]))] + [[1]]
+    layers = [_zdiv_exact(g, h) for g, h in zip(chain, chain[1:])] + [[1]]
+    factors = [(_zdiv_exact(f, g), k) for k, (f, g) in enumerate(zip(layers, layers[1:]), 1)]
+    if len(factors) == 1:  # squarefree: p itself
         return [(p, 1)]
-    return [(Polynomial(tuple([Fraction(c, f[-1]) for c in f])), i) for f, i in factors]
+    return [(Polynomial(tuple([Fraction(c, f[-1]) for c in f])), k) for f, k in factors if len(f) > 1]
 
 
 # --- exact refined inertia of an integer polynomial, by remainder sequences ---
@@ -352,11 +334,8 @@ def _exact_inertia(nums: list) -> RefinedInertia:
     deg = len(q) - 1
     diff = index if deg % 2 == 0 else -index  # n_plus - n_minus
     h = _primitive([-c if j % 2 else c for j, c in enumerate(seq[-1][0::2])])
-    n_imag = 0
-    while len(h) > 1:  # a constant H: no root of q has its negative as a root
-        sturm = _sturm_sequence(h, _zderivative(h))
-        n_imag += _variations(map(_at_minus_inf, sturm)) - _variations(p[0] for p in sturm)
-        h = _primitive(sturm[-1])
+    # a constant H (no root of q has its negative as a root) gives an empty chain
+    n_imag = sum(_variations(map(_at_minus_inf, s)) - _variations(p[0] for p in s) for _, s in _gcd_chain(h))
     return RefinedInertia((deg - 2 * n_imag + diff) // 2, (deg - 2 * n_imag - diff) // 2, n_zero, n_imag)
 
 

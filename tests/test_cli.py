@@ -566,6 +566,12 @@ def test_unknown_option_after_a_command_prints_that_commands_usage(args, stdin):
     assert result.stderr.startswith(f"usage: signspectra {args[0]} ")
 
 
+def test_unknown_option_before_a_command_prints_the_top_level_usage():
+    result = run("--bogus", "pattern", "U3")
+    assert_one_usage_error(result, "unrecognized arguments: --bogus")
+    assert result.stderr.splitlines()[0] == "usage: signspectra [-h] COMMAND ..."
+
+
 def test_missing_or_unknown_command_is_a_usage_error():
     for args in ((), ("nonsense",)):
         result = run(*args)

@@ -37,11 +37,13 @@ from signspectra.matrices import block_diag
 from signspectra.poly import _charpoly_scaled
 from signspectra.roots import (
     _SQUAREFREE_DEGREE_CAP,
+    _gcd_chain,
     _primitive,
     _roots_of_coeffs,
     _squarefree_factors,
+    _sturm_sequence,
     _zdiv_exact,
-    _zgcd,
+    _zderivative,
     _ztrim,
 )
 from signspectra.verify import _all_inertia_tuples
@@ -264,15 +266,35 @@ _INT_POLY = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
 @PROPERTY_SETTINGS
 @given(_INT_POLY.filter(any), _INT_POLY, _INT_POLY.filter(lambda g: g[-1] != 0))
 def test_gcd_of_two_multiples_of_g(a, b, g):
-    # the gcd that the squarefree split and the refined inertia both rest on
+    # the gcd that _exact_inertia reads as H and _gcd_chain reads as its next term
     ag = _ztrim([int(c) for c in pl_product([a, g])])
     bg = _ztrim([int(c) for c in pl_product([b, g])])
-    h = _zgcd(ag, bg)
+    h = _primitive(_sturm_sequence(ag, bg)[-1])
     assert math.gcd(*h) == 1 and h[-1] > 0
     _zdiv_exact(ag, h)
     _zdiv_exact(bg, h)
     _zdiv_exact(h, _primitive(g))
     assert [Fraction(c, h[-1]) for c in h] == pl_gcd(ag, bg)
+
+
+# pairwise coprime squarefree integer factors, one of them not monic
+_COPRIME_FACTORS = ([0, 1], [2, 1], [-1, 1], [3, 2], [1, 0, 1], [1, 1, 1], [-2, 0, 1])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 4), min_size=len(_COPRIME_FACTORS), max_size=len(_COPRIME_FACTORS)))
+@example([0] * len(_COPRIME_FACTORS))
+@example([1] * len(_COPRIME_FACTORS))
+def test_gcd_chain_drops_one_multiplicity_per_step(mults):
+    # on prod f_i**m_i the chain has max m_i terms, and its k-th (from 0)
+    # holds every root of multiplicity m_i > k with multiplicity m_i - k
+    a = _primitive([int(c) for c in pl_product([f for f, m in zip(_COPRIME_FACTORS, mults) for _ in range(m)])])
+    chain = list(_gcd_chain(a))
+    assert len(chain) == max(mults)
+    assert [g for g, _ in chain[:1]] == ([a] if max(mults) else [])
+    for k, (g, sturm) in enumerate(chain):
+        assert len(g) - 1 == sum(max(0, m - k) * (len(f) - 1) for f, m in zip(_COPRIME_FACTORS, mults))
+        assert sturm == _sturm_sequence(g, _zderivative(g))
 
 
 @st.composite

@@ -12,6 +12,7 @@ from signspectra import (
     Polynomial,
     RationalMatrix,
     RealizationReport,
+    RefinedInertia,
     Sign,
     block_diag,
     builtin_pattern,
@@ -28,6 +29,8 @@ from signspectra import (
     verify_realization,
     violates_sextic_gate,
 )
+from signspectra import verify
+from signspectra.cli import main
 
 T6 = Polynomial((0, 0, 0, 0, 0, 0, 1))
 
@@ -449,6 +452,27 @@ def test_verify_realization_float_report():
 
 
 # --- the full suite --------------------------------------------------------------
+
+
+def test_run_theorem_suite_reports_a_misclassified_inertia(monkeypatch, capsys):
+    # part 2's failure branch: one tuple classified wrongly fails part 2, the
+    # whole report, and `verify theorem` with one error line
+    wrong = (2, 2, 0, 2)
+    exact = verify.refined_inertia_of
+
+    def misclassify(matrix):
+        nu = exact(matrix)
+        return RefinedInertia(3, 1, 0, 2) if nu == wrong else nu
+
+    monkeypatch.setattr(verify, "refined_inertia_of", misclassify)
+    report = run_theorem_suite(seed=0, tol=1e-8, identity_samples=20)
+    assert report.part2.inertia_failures == (wrong,)
+    assert report.part2.passed is False
+    assert report.passed is False
+    capsys.readouterr()
+    assert main(["verify", "theorem", "--samples", "20"], standalone_mode=False) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: failed checks: theorem"]
 
 
 def test_run_theorem_suite_light():
