@@ -85,7 +85,11 @@ def violates_sextic_gate(p: Polynomial) -> bool:
     """
     if p.degree != 6:
         raise ValueError(f"expected degree 6, got {p.degree}")
-    a3, a5 = p.coeffs[3], p.coeffs[5]
+    return _gate_fails(p.coeffs[3], p.coeffs[5])
+
+
+def _gate_fails(a3, a5) -> bool:
+    # the gate's one body: a3 and a5 differ in sign (zero counts as a sign)
     return (a3 > 0) - (a3 < 0) != (a5 > 0) - (a5 < 0)
 
 
@@ -443,7 +447,9 @@ def realize_subinertia(nu) -> tuple:
     a scaled cubic, and the remaining degree-3 factor h is fixed; scaling the
     cubic by doubling N makes the product pass the a3/a5 gate.  N runs
     through 1, 2, 4 and 8, which suffices for every nu of total 8; past it
-    the construction raises ArithmeticError naming nu.
+    the construction raises ArithmeticError naming nu.  The gate is tested
+    on the product's integer coefficients, and one Polynomial is built, for
+    the first N that passes.
     """
     nu = _as_inertia(nu)
     if nu.order() != 8:
@@ -480,9 +486,9 @@ def realize_subinertia(nu) -> tuple:
 
     # on the 95 inertias of total 8 the gate is passed by N = 8
     for n in (1, 2, 4, 8):
-        target = Polynomial(tuple(_convolve([c3 * n**3, c2 * n**2, c1 * n, 1], h)))
-        if not violates_sextic_gate(target):
-            return mu, realize_sextic(target)
+        c = _convolve([c3 * n**3, c2 * n**2, c1 * n, 1], h)
+        if not _gate_fails(c[3], c[5]):
+            return mu, realize_sextic(Polynomial(tuple(c)))
     raise ArithmeticError(f"no cubic scale N up to 8 passes the sextic gate for {tuple(nu)}")
 
 

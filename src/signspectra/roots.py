@@ -445,19 +445,22 @@ def roots_to_quadratics(multiset: RootMultiset) -> list:
         elif z.imag > 0:
             conj.append(z)
 
-    quads = [Quadratic(-2.0 * z.real, abs(z) ** 2) for z in conj]
+    # 0.0 - x is -x bit for bit when x != 0 and +0.0 when x is a zero, so no
+    # coefficient comes out as -0.0
+    quads = [Quadratic(0.0 - 2.0 * z.real, abs(z) ** 2) for z in conj]
     leftovers = []
     for reals in (sorted(positives, reverse=True), sorted(negatives), zeros):
         for i in range(0, len(reals) - 1, 2):
             r, s = reals[i], reals[i + 1]
-            quads.append(Quadratic(-(r + s), r * s))
+            quads.append(Quadratic(0.0 - (r + s), r * s))
         if len(reals) % 2:
             leftovers.append(reals[-1])
     # the non-real roots come in exact conjugate pairs and the total is even,
     # so the real roots are even in number and 0 or 2 classes leave one over
     if leftovers:
         r, s = leftovers
-        quads.append(Quadratic(-(r + s), r * s))
+        # a negative times the zero 0.0 is -0.0; adding 0.0 turns only that to +0.0
+        quads.append(Quadratic(0.0 - (r + s), r * s + 0.0))
     return quads
 
 

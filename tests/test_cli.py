@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -316,6 +317,17 @@ def test_factor_usage_and_failure_paths():
     assert "error:" in result.stderr
     assert "NaN" not in result.output and "Infinity" not in result.output
     assert "Traceback" not in result.output + result.stderr
+
+
+def test_factor_prints_zero_coefficients_as_plus_zero():
+    # t**2 + 1, t**2, README's (t**2 + 1)(t**2 + 4) and t(t + 1)
+    for coeffs in ([1, 0, 1], [0, 0, 1], [4, 0, 5, 0, 1], [0, 1, 1]):
+        result = run("factor", "-", input=json.dumps({"coeffs": coeffs}))
+        assert result.exit_code == 0
+        assert "-0.0" not in result.output
+        for q in json.loads(result.output)["quadratics"]:
+            for c in (q["a"], q["b"]):
+                assert c != 0.0 or math.copysign(1.0, c) == 1.0, (coeffs, q)
 
 
 def test_factor_rational_quadratic_with_cancelling_roots():

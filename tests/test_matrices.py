@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from signspectra import (
     FloatMatrix,
     Polynomial,
     RationalMatrix,
+    Sign,
     SignPattern,
     block_diag,
     builtin_pattern,
@@ -193,6 +195,34 @@ def test_square_array_reprs_and_equality():
     assert repr(builtin_pattern("D")) == "SignPattern.from_rows(['++', '--'])"
     # equal entries on the two backends are still different matrices
     assert RationalMatrix.from_rows([[1, 0], [2, -3]]) != FloatMatrix.from_rows([[1.0, 0.0], [2.0, -3.0]])
+
+
+def test_reprs_evaluate_back_to_equal_values_of_the_same_type():
+    namespace = {
+        "Fraction": Fraction,
+        "FloatMatrix": FloatMatrix,
+        "Polynomial": Polynomial,
+        "RationalMatrix": RationalMatrix,
+        "Sign": Sign,
+        "SignPattern": SignPattern,
+    }
+    values = [
+        Sign.PLUS,
+        builtin_pattern("TD"),
+        Polynomial((Fraction(1, 2), -3, 1)),
+        Polynomial((-0.0, 2.5, 1.0)),
+        RationalMatrix.from_rows([[1, "2/3"], [0, -4]]),
+        FloatMatrix.from_rows([[1.5, 0], [2, -3]]),
+    ]
+    for x in values:
+        y = eval(repr(x), namespace)
+        assert type(y) is type(x)
+        assert y == x
+    # the coefficients keep their type, and the float one its zero's sign
+    rational, floating = (eval(repr(p), namespace) for p in values[2:4])
+    assert all(type(c) is Fraction for c in rational.coeffs)
+    assert all(type(c) is float for c in floating.coeffs)
+    assert math.copysign(1.0, floating.coeffs[0]) == -1.0
 
 
 def test_block_orders_finest_split():

@@ -806,19 +806,20 @@ def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch
     # realize_inertia.  Over it, some cubic split always fits, the doubling
     # of the cubic scale N stops by N = 8, and every leftover nu - mu is one
     # of seven tuples, so none of these needs a fallback.
-    gate = realize.violates_sextic_gate
+    gate = realize._gate_fails
     calls = []
-    monkeypatch.setattr(realize, "violates_sextic_gate", lambda p: calls.append(p) or gate(p))
+    monkeypatch.setattr(realize, "_gate_fails", lambda a3, a5: calls.append((a3, a5)) or gate(a3, a5))
     paths = Counter()
     leftovers = Counter()
     quads = {}
     for nu in _all_inertia_tuples():
         calls.clear()
         mu, _ = realize_subinertia(nu)
-        # realize_sextic checks the gate once on the sextic it is given: that
-        # is the even sextic's only call, and the last of the cubic path's
+        # the scale loop tests the gate on (a3, a5) once per N, and
+        # realize_sextic once more on the sextic it is given: that is the even
+        # sextic's only call, and the last of the cubic path's
         if len(calls) == 1:
-            assert calls[0].coeffs[3] == calls[0].coeffs[5] == 0
+            assert calls[0] == (0, 0)
             paths["even sextic"] += 1
         else:
             paths[f"N = {2 ** (len(calls) - 2)}"] += 1

@@ -898,6 +898,15 @@ def test_roots_to_quadratics_zero_roots_snap():
     assert all(q.b == 0.0 and q.a == 0.0 for q in quads)
 
 
+def test_roots_to_quadratics_writes_zero_coefficients_as_plus_zero():
+    # in floating point -2*Re(z) with Re(z) = 0, -(r + s) over a zero pair
+    # and a negative root times the zero 0.0 are all -0.0
+    for roots in ([1j, -1j], [0.0, 0.0], [1e-10, -1e-10], [-1.0, 0.0], [2.0, 0.0], [3j, -3j, -2.0, 0.0]):
+        for q in quads_of(roots):
+            for c in (q.a, q.b):
+                assert c != 0.0 or math.copysign(1.0, c) == 1.0, (roots, q)
+
+
 def test_roots_to_quadratics_mixed_parities():
     # one positive, one negative, two zeros: zeros pair, leftovers cross
     quads = quads_of([2.0, -3.0, 0.0, 0.0])
