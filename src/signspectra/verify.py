@@ -10,6 +10,8 @@ t**5 and t**3 coefficients, and compute them exactly from the power sums
 tr A, tr A² and tr A³ over the closed walks of each sample's own support, by
 Newton's identities: not by either path of char_poly (the cycle-cover
 expansion or the trace recursion), which builds and checks realizations.
+Each sample is checked as one flat, row-major list of n*n ints, entry (i, j)
+at index i*n + j, which conformance, the support key and the walk sums read.
 Sampled evidence: spectral arbitrariness is a universally quantified claim
 over an uncountable set, so the suite realizes batches of random targets and
 labels the evidence kind rather than overclaiming.
@@ -73,11 +75,11 @@ def _draw(nonzeros: list, rng: random.Random) -> list:
 
 
 def _scaled_sample(n: int, draws: list) -> list:
-    # the n x n int matrix lcm(l) * (k/l): zero off the drawn entries
+    # the n x n int matrix lcm(l) * (k/l), flat and row-major: zero off the drawn entries
     scale = math.lcm(*[d[3] for d in draws])
-    a = [[0] * n for _ in range(n)]
+    a = [0] * (n * n)
     for i, j, k, l in draws:
-        a[i][j] = k * (scale // l)
+        a[i * n + j] = k * (scale // l)
     return a
 
 
@@ -111,29 +113,34 @@ class IdentityCheckReport(_Report):
 
 
 @functools.lru_cache(maxsize=8)
-def _closed_walks(support: tuple) -> tuple:
-    # the closed walks of length 1, 2 and 3 of the digraph with an arc i -> j
-    # where support[i][j] is true, as index tuples (i,), (i, j), (i, j, k)
-    n = len(support)
-    arcs = [(i, j) for i in range(n) for j in range(n) if support[i][j]]
-    loops = tuple(i for i, j in arcs if i == j)
-    walks2 = tuple((i, j) for i, j in arcs if support[j][i])
-    walks3 = tuple((i, j, k) for i, j in arcs for k in range(n) if support[j][k] and support[k][i])
+def _closed_walks(support: tuple, n: int) -> tuple:
+    # the closed walks of length 1, 2 and 3 of the digraph on n vertices with
+    # an arc i -> j where support[i*n + j] is true, each as the flat indices
+    # of its arcs: (ii,), (ij, ji), (ij, jk, ki)
+    arcs = [(i, j) for i in range(n) for j in range(n) if support[i * n + j]]
+    loops = tuple(i * n + i for i, j in arcs if i == j)
+    walks2 = tuple((i * n + j, j * n + i) for i, j in arcs if support[j * n + i])
+    walks3 = tuple(
+        (i * n + j, j * n + k, k * n + i)
+        for i, j in arcs
+        for k in range(n)
+        if support[j * n + k] and support[k * n + i]
+    )
     return loops, walks2, walks3
 
 
-def _walk_coefficients(a: list) -> tuple:
-    # (c[n-3], c[n-1]) of det(tI - a) for a square int matrix of order n >= 3,
-    # exact and without char_poly's cycle covers or trace recursion:
-    # p_k = tr a**k is a sum over the closed walks of length k in a's own
-    # support, and Newton's identities give e2 = (p1**2 - p2)/2 and
-    # e3 = (e2*p1 - p1*p2 + p3)/3, so c[n-1] = -p1 and c[n-3] = -e3.  Both
-    # divisions are exact because e2 and e3 are sums of principal minors of an
-    # integer matrix.
-    loops, walks2, walks3 = _closed_walks(tuple(tuple(map(bool, row)) for row in a))
-    p1 = sum(a[i][i] for i in loops)
-    p2 = sum(a[i][j] * a[j][i] for i, j in walks2)
-    p3 = sum(a[i][j] * a[j][k] * a[k][i] for i, j, k in walks3)
+def _walk_coefficients(a: list, n: int) -> tuple:
+    # (c[n-3], c[n-1]) of det(tI - A) for a square int matrix A of order
+    # n >= 3, given as the row-major list a, exact and without char_poly's
+    # cycle covers or trace recursion: p_k = tr A**k is a sum over the closed
+    # walks of length k in A's own support, and Newton's identities give
+    # e2 = (p1**2 - p2)/2 and e3 = (e2*p1 - p1*p2 + p3)/3, so c[n-1] = -p1
+    # and c[n-3] = -e3.  Both divisions are exact because e2 and e3 are sums
+    # of principal minors of an integer matrix.
+    loops, walks2, walks3 = _closed_walks(tuple(map(bool, a)), n)
+    p1 = sum(a[ii] for ii in loops)
+    p2 = sum(a[ij] * a[ji] for ij, ji in walks2)
+    p3 = sum(a[ij] * a[jk] * a[ki] for ij, jk, ki in walks3)
     e2, r2 = divmod(p1 * p1 - p2, 2)
     e3, r3 = divmod(e2 * p1 - p1 * p2 + p3, 3)
     if r2 or r3:
@@ -142,16 +149,18 @@ def _walk_coefficients(a: list) -> tuple:
 
 
 def _identity_holds(which: str, a: list) -> bool:
-    # a = L*M for a 6x6 rational M and an integer L > 0, so the char poly of a
-    # has C5 = L*a5 and C3 = L**3*a3, and both identities scale the same way;
-    # C3 and C5 come from the closed walks of a's support, so an entry outside
-    # the named pattern still counts
-    c3, c5 = _walk_coefficients(a)
-    head = a[0][0] + a[1][1]
+    # a is L*M, row-major, for a 6x6 rational M and an integer L > 0, so the
+    # char poly of L*M has C5 = L*a5 and C3 = L**3*a3, and both identities
+    # scale the same way; C3 and C5 come from the closed walks of a's
+    # support, so an entry outside the named pattern still counts.  r11, r22,
+    # r56 and r65 are a[0], a[7], a[29] and a[34]; Tprime's r12, r23 and r31
+    # are a[1], a[8] and a[12]
+    c3, c5 = _walk_coefficients(a, 6)
+    head = a[0] + a[7]
     expected5 = -head
-    expected3 = head * a[4][5] * a[5][4]
+    expected3 = head * a[29] * a[34]
     if which == "Tprime":
-        expected3 = expected3 - a[0][1] * a[1][2] * a[2][0]
+        expected3 = expected3 - a[1] * a[8] * a[12]
     return c3 == expected3 and c5 == expected5
 
 
@@ -168,12 +177,13 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     The samples are the successive draws of ``sample_conforming_matrix``
     from ``random.Random(seed)``: nonzero entries only, row-major, k then l
     uniform in 1..100 on the stream of ``randint(1, 100)``.  Each is checked
-    as the integer matrix lcm(l) * (k/l), for conformance and for both
-    identities; the first failing sample is reported as drawn.  The t**5 and
-    t**3 coefficients of each sample are computed exactly from tr A, tr A²
-    and tr A³, summed over the closed walks of the sample's own support, by
-    Newton's identities; this check shares no code with either path of
-    ``char_poly``, the cycle-cover expansion or the trace recursion.
+    as the integer matrix lcm(l) * (k/l), held as one row-major list of n*n
+    ints, for conformance over all n*n entries and for both identities; the
+    first failing sample is reported as drawn, as a ``RationalMatrix``.  The
+    t**5 and t**3 coefficients of each sample are computed exactly from tr A,
+    tr A² and tr A³, summed over the closed walks of the sample's own
+    support, by Newton's identities; this check shares no code with either
+    path of ``char_poly``, the cycle-cover expansion or the trace recursion.
     samples and seed must be ints (not bools), so that the report names the
     run.
     """
@@ -187,12 +197,13 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     pattern = builtin_pattern(which)
     n, codes = pattern.n, pattern._codes
     nonzeros = _nonzero_codes(codes)
+    flat_codes = [s for row in codes for s in row]
     rng = random.Random(seed)
     first_failure = None
     for _ in range(samples):
         draws = _draw(nonzeros, rng)
         a = _scaled_sample(n, draws)
-        if not (_rows_conform(a, codes) and _identity_holds(which, a)):
+        if not (_rows_conform((a,), (flat_codes,)) and _identity_holds(which, a)):
             first_failure = _sample_matrix(n, draws)
             break
     return IdentityCheckReport(

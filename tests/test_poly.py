@@ -450,9 +450,20 @@ def test_walk_coefficients_match_charpoly_int():
     def same_coefficients(a):
         n = len(a)
         full = _charpoly_int(a, n)
-        assert _walk_coefficients(a) == (full[n - 3], full[n - 1])
+        assert _walk_coefficients([e for row in a for e in row], n) == (full[n - 3], full[n - 1])
 
     same_coefficients()
+
+
+def test_exactness_guards_raise_on_a_non_integer_entry():
+    # both exact paths divide by k on the promise of integer input; a 2-cycle
+    # of product 1/2 leaves p2 = tr A**2 = 1 odd, so e2 = (p1**2 - p2)/2 is
+    # not an integer and each path must refuse it rather than round
+    half = Fraction(1, 2)
+    with pytest.raises(ArithmeticError, match="power sums lost exactness"):
+        _walk_coefficients([0, half, 0, 1, 0, 0, 0, 0, 0], 3)
+    with pytest.raises(ArithmeticError, match="trace recursion lost exactness"):
+        _charpoly_trace([[0, half, 0], [1, 0, 0], [0, 0, 0]], 3)
 
 
 def test_coefficient_residual():

@@ -172,7 +172,8 @@ def test_sampler_consumes_the_randint_stream(pattern):
 
 def test_check_identity_checks_the_sample_it_reports(monkeypatch):
     # the integer matrix handed to both checks is lcm(l) times the entries of
-    # the sample_conforming_matrix draw of the same seed, on every sample
+    # the sample_conforming_matrix draw of the same seed, row-major, on every
+    # sample; conformance reads it as one row of n*n entries
     verify = importlib.import_module("signspectra.verify")
     rows_conform = verify._rows_conform
     for which in ("T", "Tprime"):
@@ -197,10 +198,10 @@ def test_check_identity_checks_the_sample_it_reports(monkeypatch):
                 pairs, _ = randint_draw(pattern, ref)
                 scale = math.lcm(*(l for _, l in pairs))
                 m = sample_conforming_matrix(pattern, sampled)
-                expected.append([[scale * e for e in row] for row in m.entries])
+                expected.append([scale * e for row in m.entries for e in row])
             assert checked == expected
-            assert conformed == checked
-            assert all(type(e) is int for a in checked for row in a for e in row)
+            assert conformed == [(a,) for a in checked]
+            assert all(type(e) is int for a in checked for e in a)
 
 
 def test_check_identity_validation():
@@ -260,9 +261,50 @@ def test_identity_reads_the_sample_support_not_the_named_pattern():
     nonzeros = verify._nonzero_codes(builtin_pattern("T")._codes)
     a = verify._scaled_sample(6, verify._draw(nonzeros, random.Random(3)))
     assert verify._identity_holds("T", a)
-    a[2][0] = 1
+    a[12] = 1
     assert not verify._identity_holds("T", a)
     assert verify._identity_holds("Tprime", a)
+
+
+def test_identity_verdict_matches_char_poly_on_the_same_sample():
+    # _identity_holds reads the row-major int sample L*M; char_poly reads M.
+    # On 100 draws each of T and Tprime, and on every T draw again with one
+    # extra entry +-1 at each of T's zero positions (+-1/L in M, so the two
+    # stay one sample), the verdict must be that of char_poly's t**5 and t**3
+    # under the named identity.  A wrong flat index, or closed walks taken
+    # from the pattern instead of the sample's support, changes a verdict.
+    verify = importlib.import_module("signspectra.verify")
+    rng = random.Random(34)
+    cases, scales = [], []
+    for which in ("T", "Tprime"):
+        pattern = builtin_pattern(which)
+        nonzeros = verify._nonzero_codes(pattern._codes)
+        for _ in range(100):
+            draws = verify._draw(nonzeros, rng)
+            cases.append((verify._scaled_sample(6, draws), verify._sample_matrix(6, draws).entries))
+            if which == "T":
+                scales.append(math.lcm(*(l for _, _, _, l in draws)))
+    zeros = [(i, j) for i in range(6) for j in range(6) if builtin_pattern("T")[i, j] is Sign.ZERO]
+    assert len(zeros) == 22
+    for (a, rows), scale in zip(cases[:100], scales):
+        for i, j in zeros:
+            step = rng.choice((-1, 1))
+            b = list(a)
+            b[i * 6 + j] += step
+            m = [list(row) for row in rows]
+            m[i][j] += Fraction(step, scale)
+            cases.append((b, m))
+    verdicts = {"T": set(), "Tprime": set()}
+    for a, rows in cases:
+        c = char_poly(RationalMatrix.from_rows(rows)).coeffs
+        head = rows[0][0] + rows[1][1]
+        expected3 = head * rows[4][5] * rows[5][4]
+        cycle = rows[0][1] * rows[1][2] * rows[2][0]
+        for which, e3 in (("T", expected3), ("Tprime", expected3 - cycle)):
+            holds = c[5] == -head and c[3] == e3
+            assert verify._identity_holds(which, a) == holds
+            verdicts[which].add(holds)
+    assert verdicts == {"T": {True, False}, "Tprime": {True, False}}
 
 
 def test_traceless_sample_is_never_nilpotent():
