@@ -166,9 +166,12 @@ def matrix_from_dict(data: dict):
     rational backend, in which case integer-valued numbers are accepted
     exactly and non-integer numbers are rejected as ambiguous.  On the float
     backend an integer beyond the double range raises ValueError naming the
-    entry, and so does a boolean on either backend.
+    entry, and so does a boolean on either backend.  entries must be a list
+    of row lists; a string row would otherwise be read as its characters.
     """
     entries = data["entries"]
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError("entries must be a list of row lists")
     if any(isinstance(e, str) for row in entries for e in row):
         parse, cls = parse_rational, RationalMatrix
     else:

@@ -10,13 +10,15 @@ convolution as poly_mul.  char_poly and verify_realization find the blocks by
 scanning the dense matrix for its block-diagonal cuts; realize_poly passes the
 blocks it built.
 
-A block's polynomial takes one of two exact paths, chosen by its zero/nonzero
-support alone.  A sparse support, such as the 6x6 templates T and Tprime and
-the 2x2 block D, sums signed products over its sets of vertex-disjoint
-cycles, which are enumerated once per support and memoized.  A support whose
-enumeration would cost more than the trace recursion (Faddeev-LeVerrier over
-the ints), such as a dense one, runs that recursion.  Both give the same
-ints.
+The exact kernels read a square int matrix in one layout: the flat row-major
+list of its n*n entries, so a_ij is a[i*n + j], with its support keyed as
+tuple(map(bool, a)), as in verify's identity check.  A block's polynomial
+takes one of two exact paths, chosen by that support alone.  A sparse
+support, such as the 6x6 templates T and Tprime and the 2x2 block D, sums
+signed products over its sets of vertex-disjoint cycles, which are
+enumerated once per support and memoized.  A support whose enumeration would
+cost more than the trace recursion (Faddeev-LeVerrier over the ints), such
+as a dense one, runs that recursion.  Both give the same ints.
 
 Exact coefficients have one scaled-integer form, (nums, den): coefficient k
 is nums[k] / den, all ints.  The characteristic polynomial comes out in it,
@@ -127,8 +129,11 @@ class Polynomial:
 def polynomial_from_dict(data: dict) -> Polynomial:
     """Parse {"coeffs": [...]}; any string coefficient selects the rational
     backend, and otherwise every coefficient is read as a float.  A boolean
-    coefficient raises ValueError naming it."""
+    coefficient raises ValueError naming it, and so does coeffs that is not
+    a list (a string would otherwise be read as its characters)."""
     raw = data["coeffs"]
+    if not isinstance(raw, list):
+        raise ValueError(f"coeffs must be a list, got {type(raw).__name__}")
     parse = parse_rational if any(isinstance(c, str) for c in raw) else _as_float
     return Polynomial(tuple([parse(c, f"coefficient {i}") for i, c in enumerate(raw)]))
 
@@ -170,15 +175,17 @@ def _rational_product(factors) -> Polynomial:
 
 
 @functools.lru_cache(maxsize=32)
-def _linear_subdigraphs(support: tuple) -> tuple | None:
+def _linear_subdigraphs(support: tuple, n: int) -> tuple | None:
     """The signed cycle covers that expand det(tI - A) on one support, or None.
 
-    support[i][j] is true where a_ij may be nonzero, and the digraph has an
-    arc i -> j there.  Entry k of the result lists, as (sign, arcs), every set
-    of vertex-disjoint cycles that covers exactly n - k vertices: arcs are the
-    (i, j) of its cycles, each cycle from its least vertex, and sign is
-    (-1)**(number of cycles).  Then c[k] of det(tI - A) is the sum of
-    sign * prod(a[i][j] for i, j in arcs) over entry k (Brualdi and
+    support is the flat row-major key tuple(map(bool, a)) of an order-n
+    matrix, the same key as verify._closed_walks: support[i*n + j] is true
+    where a_ij may be nonzero, and the digraph has an arc i -> j there.
+    Entry k of the result lists, as (sign, arcs), every set of
+    vertex-disjoint cycles that covers exactly n - k vertices: arcs are the
+    flat indices i*n + j of its cycles' arcs, each cycle from its least
+    vertex, and sign is (-1)**(number of cycles).  Then c[k] of det(tI - A)
+    is the sum of sign * prod(a[ij] for ij in arcs) over entry k (Brualdi and
     Cvetković, A Combinatorial Approach to Matrix Theory, 2008, ch. 4);
     entry n is the empty set, so c[n] = 1.  The terms are structure only, so
     monomials in the entries can take the place of ints.
@@ -186,16 +193,15 @@ def _linear_subdigraphs(support: tuple) -> tuple | None:
     The search decides the vertices in increasing order: each is left out or
     is the least vertex of a new cycle, which grows through unused vertices
     above it until it returns, so every set is listed once.  The trace
-    recursion takes n - 2 sparse-by-dense products of nnz * n
-    multiplications each, plus a set-up that dominates on 2x2 blocks.  So
-    the search gives up, and returns None, once its steps or the arcs of its
-    terms pass n * n * nnz, a count of the same order: a dense support gives
-    up after about one recursion's multiplications in search steps, and the
-    memo holds at most that many arcs per support.
+    recursion takes n matrix products of n**3 multiplications each.  So the
+    search gives up, and returns None, once its steps or the arcs of its
+    terms pass n * n * nnz, which is that n**4 on a dense support and less
+    on a sparser one: a dense support gives up after about one recursion's
+    multiplications in search steps, and the memo holds at most that many
+    arcs per support.
     """
-    n = len(support)
-    succ = [[(j, (i, j)) for j, nonzero in enumerate(row) if nonzero] for i, row in enumerate(support)]
-    budget = n * n * sum(map(len, succ))
+    succ = [[(j, i * n + j) for j in range(n) if support[i * n + j]] for i in range(n)]
+    budget = n * n * sum(support)
     terms = [[] for _ in range(n + 1)]
     arc_count = steps = 0
     # a state is (root, u, used, path, sign): with u < 0 the vertices below
@@ -232,9 +238,10 @@ def _linear_subdigraphs(support: tuple) -> tuple | None:
 
 
 def _charpoly_int(a: list, n: int) -> list:
-    # det(tI - a) of a square int matrix as ascending ints: the signed sum
-    # over the cycle covers of its support, else the trace recursion
-    expansion = _linear_subdigraphs(tuple([tuple(map(bool, row)) for row in a]))
+    # det(tI - A) of an order-n int matrix A, given as the flat row-major list
+    # a of its n*n entries, as ascending ints: the signed sum over the cycle
+    # covers of its support, else the trace recursion
+    expansion = _linear_subdigraphs(tuple(map(bool, a)), n)
     if expansion is None:
         return _charpoly_trace(a, n)
     c = []
@@ -242,40 +249,31 @@ def _charpoly_int(a: list, n: int) -> list:
         ck = 0
         for sign, arcs in terms:
             p = sign
-            for i, j in arcs:
-                p *= a[i][j]
+            for ij in arcs:
+                p *= a[ij]
             ck += p
         c.append(ck)
     return c
 
 
 def _charpoly_trace(a: list, n: int) -> list:
-    # Trace recursion over Python ints: M1 = A, c[n-1] = -tr M1,
+    # Trace recursion over Python ints on the flat row-major a: M0 = 0,
     # Mk = A(Mk-1 + c[n-k+1] I), c[n-k] = -tr(Mk)/k.  The division by k is
-    # exact for integer input because the coefficients are integers.  The
-    # last step reads only tr(Mn), so it takes the dot product of A with the
-    # shifted Mn-1 instead of forming the product.  Each row's nonzero
-    # entries (l, a_il) are listed once, and only they are visited.
+    # exact for integer input because the coefficients are integers.
     c = [0] * (n + 1)
     c[n] = 1
-    nonzeros = [[(l, ail) for l, ail in enumerate(arow) if ail] for arow in a]
-    m = [row[:] for row in a]
-    c[n - 1] = -sum(m[i][i] for i in range(n))
-    for k in range(2, n + 1):
-        for i in range(n):
-            m[i][i] += c[n - k + 1]
-        if k == n:
-            tr = sum(ail * m[l][i] for i, nz in enumerate(nonzeros) for l, ail in nz)
-        else:
-            nxt = [[0] * n for _ in range(n)]
-            for row, nz in zip(nxt, nonzeros):
-                for l, ail in nz:
-                    mrow = m[l]
-                    for j in range(n):
-                        row[j] += ail * mrow[j]
-            m = nxt
-            tr = sum(m[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
+    m = [0] * (n * n)
+    for k in range(1, n + 1):
+        for ii in range(0, n * n, n + 1):
+            m[ii] += c[n - k + 1]
+        nxt = [0] * (n * n)
+        for i in range(0, n * n, n):
+            for l in range(n):
+                ail = a[i + l]
+                for j in range(n):
+                    nxt[i + j] += ail * m[l * n + j]
+        m = nxt
+        q, r = divmod(-sum(m[:: n + 1]), k)
         if r:
             raise ArithmeticError("trace recursion lost exactness on integer input")
         c[n - k] = q
@@ -320,9 +318,8 @@ def _charpoly_scaled(blocks) -> tuple:
     pos = 0
     for block in blocks:
         order = len(block)
-        rows = [flat[pos + i * order : pos + (i + 1) * order] for i in range(order)]
         # the short block polynomial as the outer operand; ints commute exactly
-        c = _convolve(_charpoly_int(rows, order), c)
+        c = _convolve(_charpoly_int(flat[pos : pos + order * order], order), c)
         pos += order * order
     nums = []
     power = 1  # odd**k

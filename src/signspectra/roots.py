@@ -478,8 +478,7 @@ def refined_inertia_of(matrix, tol: float = 1e-9) -> RefinedInertia:
     _check_tol(tol)
     counts = [0, 0, 0, 0]
     for block in _diagonal_blocks(matrix):
-        n = len(block)
         flat = _over_common_denominator([e for row in block for e in row])[0]
-        nu = _exact_inertia(_charpoly_int([flat[i * n : (i + 1) * n] for i in range(n)], n))
+        nu = _exact_inertia(_charpoly_int(flat, len(block)))
         counts = [c + k for c, k in zip(counts, nu)]
     return RefinedInertia(*counts)

@@ -419,6 +419,20 @@ def test_boolean_coefficient_is_a_usage_error():
         assert "Traceback" not in result.output + result.stderr
 
 
+def test_string_coeffs_is_a_usage_error():
+    # a JSON string is not a coefficient list, though iterating it yields digits:
+    # "201" once read as t**2 + 2, and 17 digits realized as a degree-16 target
+    for args, blob in (
+        (("factor", "-"), '{"coeffs": "201"}'),
+        (("realize", "-", "--t", "1", "--d", "5"), json.dumps({"coeffs": "1" * 17})),
+    ):
+        result = run(*args, input=blob)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "Error: invalid polynomial input: coeffs must be a list, got str\n"
+
+
 def test_oversized_integer_coefficient_is_a_usage_error():
     blob = json.dumps({"coeffs": [10**400, 0, 1]})
     for args in (("factor", "-"), ("realize", "-", "--t", "0", "--d", "5")):

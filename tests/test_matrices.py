@@ -91,6 +91,13 @@ def test_matrix_from_dict_errors():
     assert exact[1, 0] == 10**400
 
 
+def test_matrix_from_dict_needs_a_list_of_row_lists():
+    # a string row would otherwise be read as its digit characters
+    for entries in (["12", "34"], "1234", [[1.0, 0.0], "01"]):
+        with pytest.raises(ValueError, match="entries must be a list of row lists"):
+            matrix_from_dict({"entries": entries})
+
+
 def test_rational_matrix_rejects_a_bool_entry():
     # a bool is an int to isinstance, so without the check True read as 1
     with pytest.raises(TypeError, match="got bool"):

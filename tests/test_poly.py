@@ -100,6 +100,9 @@ def test_polynomial_from_dict():
         polynomial_from_dict({"coeffs": [True, False, True]})
     with pytest.raises(ValueError, match="coefficient 1 is a boolean, not a number"):
         polynomial_from_dict({"coeffs": ["1", True, "1"]})
+    # a string is not a coefficient list, though its characters are digits
+    with pytest.raises(ValueError, match="coeffs must be a list, got str"):
+        polynomial_from_dict({"coeffs": "201"})
     for p in (f, r):
         assert polynomial_from_dict(p.to_dict()) == p
 
@@ -335,7 +338,7 @@ def _scaled_by_powers(blocks):
     pos = 0
     for block in blocks:
         k = len(block)
-        c = _convolve(c, _charpoly_int([flat[pos + i * k : pos + (i + 1) * k] for i in range(k)], k))
+        c = _convolve(c, _charpoly_int(flat[pos : pos + k * k], k))
         pos += k * k
     return [ck * scale**k for k, ck in enumerate(c)], scale ** (len(c) - 1)
 
@@ -381,14 +384,20 @@ def test_charpoly_int_matches_cofactor_expansion():
     def matches_cofactors(a):
         n = len(a)
         if n <= 5:
-            full = _charpoly_int(a, n)
+            full = _charpoly_int(_flat(a), n)
             assert Polynomial(tuple(full)) == charpoly_by_cofactors(RationalMatrix.from_rows(a))
 
     matches_cofactors()
 
 
+def _flat(a):
+    # the row-major list the exact kernels read
+    return [e for row in a for e in row]
+
+
 def _support(a):
-    return tuple(tuple(map(bool, row)) for row in a)
+    # the flat support key and order that _linear_subdigraphs takes
+    return tuple(map(bool, _flat(a))), len(a)
 
 
 def test_cycle_covers_match_the_trace_recursion():
@@ -396,7 +405,7 @@ def test_cycle_covers_match_the_trace_recursion():
     @given(_int_matrix())
     def same_ints(a):
         n = len(a)
-        assert _charpoly_int(a, n) == _charpoly_trace(a, n)
+        assert _charpoly_int(_flat(a), n) == _charpoly_trace(_flat(a), n)
 
     same_ints()
 
@@ -408,9 +417,9 @@ def test_cycle_covers_of_the_builtin_supports(name):
     codes = builtin_pattern(name)._codes
     rng = random.Random(name)
     for _ in range(20):
-        a = [[s * rng.randint(1, 10**30) for s in row] for row in codes]
-        assert _charpoly_int(a, len(a)) == _charpoly_trace(a, len(a))
-    assert (_linear_subdigraphs(_support(codes)) is None) == (name == "S")
+        a = [s * rng.randint(1, 10**30) for s in _flat(codes)]
+        assert _charpoly_int(a, len(codes)) == _charpoly_trace(a, len(codes))
+    assert (_linear_subdigraphs(*_support(codes)) is None) == (name == "S")
 
 
 def test_cycle_cover_terms():
@@ -419,15 +428,17 @@ def test_cycle_cover_terms():
     # c[0] = a00*a11 - a01*a10 and c[1] = -a00 - a11
     counts = {"T": [4, 5, 4, 2, 3, 2, 1], "Tprime": [4, 6, 4, 3, 3, 2, 1]}
     for name, expected in counts.items():
-        terms = _linear_subdigraphs(_support(builtin_pattern(name)._codes))
+        terms = _linear_subdigraphs(*_support(builtin_pattern(name)._codes))
         assert [len(ck) for ck in terms] == expected
         for k, ck in enumerate(terms):
             for sign, arcs in ck:
                 assert len(arcs) == 6 - k
-                assert sorted(i for i, _ in arcs) == sorted(j for _, j in arcs)
-    assert [sorted(ck) for ck in _linear_subdigraphs(_support(builtin_pattern("D")._codes))] == [
-        [(-1, ((0, 1), (1, 0))), (1, ((0, 0), (1, 1)))],
-        [(-1, ((0, 0),)), (-1, ((1, 1),))],
+                pairs = [divmod(ij, 6) for ij in arcs]
+                assert sorted(i for i, _ in pairs) == sorted(j for _, j in pairs)
+    # arcs are flat indices i*2 + j: 1 is a01, 2 is a10, 0 is a00 and 3 is a11
+    assert [sorted(ck) for ck in _linear_subdigraphs(*_support(builtin_pattern("D")._codes))] == [
+        [(-1, (1, 2)), (1, (0, 3))],
+        [(-1, (0,)), (-1, (3,))],
         [(1, ())],
     ]
 
@@ -436,9 +447,35 @@ def test_a_dense_support_takes_the_trace_recursion():
     # an all-nonzero order-20 support has more than 20! cycle covers; the
     # search gives up within its budget and the recursion answers
     rng = random.Random(20)
-    a = [[rng.randint(-9, 9) or 1 for _ in range(20)] for _ in range(20)]
-    assert _linear_subdigraphs(_support(a)) is None
+    a = [rng.randint(-9, 9) or 1 for _ in range(20 * 20)]
+    assert _linear_subdigraphs(tuple(map(bool, a)), 20) is None
     assert _charpoly_int(a, 20) == _charpoly_trace(a, 20)
+
+
+def test_trace_recursion_matches_cofactors_where_the_covers_give_up():
+    # two dense int blocks of order 3-6, their direct sum conjugated by a
+    # random permutation: the cover search gives up on that support, so the
+    # recursion is checked against the product of the blocks' cofactor
+    # expansions, which shares no code with it
+    rng = random.Random(35)
+    for _ in range(12):
+        blocks = []
+        for _ in range(2):
+            k = rng.randint(3, 6)
+            blocks.append([[rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(k)] for _ in range(k)])
+        p = len(blocks[0])
+        n = p + len(blocks[1])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        a = [0] * (n * n)
+        for lo, block in ((0, blocks[0]), (p, blocks[1])):
+            for i, row in enumerate(block):
+                for j, x in enumerate(row):
+                    a[perm[lo + i] * n + perm[lo + j]] = x
+        assert _linear_subdigraphs(tuple(map(bool, a)), n) is None
+        oracle = _convolve(*(charpoly_by_cofactors(RationalMatrix.from_rows(b)).coeffs for b in blocks))
+        assert _charpoly_trace(a, n) == oracle
+        assert _charpoly_int(a, n) == oracle
 
 
 def test_walk_coefficients_match_charpoly_int():
@@ -449,8 +486,8 @@ def test_walk_coefficients_match_charpoly_int():
     @given(_int_matrix(min_order=3))
     def same_coefficients(a):
         n = len(a)
-        full = _charpoly_int(a, n)
-        assert _walk_coefficients([e for row in a for e in row], n) == (full[n - 3], full[n - 1])
+        full = _charpoly_int(_flat(a), n)
+        assert _walk_coefficients(_flat(a), n) == (full[n - 3], full[n - 1])
 
     same_coefficients()
 
@@ -463,7 +500,7 @@ def test_exactness_guards_raise_on_a_non_integer_entry():
     with pytest.raises(ArithmeticError, match="power sums lost exactness"):
         _walk_coefficients([0, half, 0, 1, 0, 0, 0, 0, 0], 3)
     with pytest.raises(ArithmeticError, match="trace recursion lost exactness"):
-        _charpoly_trace([[0, half, 0], [1, 0, 0], [0, 0, 0]], 3)
+        _charpoly_trace([0, half, 0, 1, 0, 0, 0, 0, 0], 3)
 
 
 def test_coefficient_residual():
