@@ -179,7 +179,7 @@ def _linear_subdigraphs(support: tuple, n: int) -> tuple | None:
     """The signed cycle covers that expand det(tI - A) on one support, or None.
 
     support is the flat row-major key tuple(map(bool, a)) of an order-n
-    matrix, the same key as verify._closed_walks: support[i*n + j] is true
+    matrix, the same key as verify._power_sums: support[i*n + j] is true
     where a_ij may be nonzero, and the digraph has an arc i -> j there.
     Entry k of the result lists, as (sign, arcs), every set of
     vertex-disjoint cycles that covers exactly n - k vertices: arcs are the

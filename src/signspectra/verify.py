@@ -11,7 +11,10 @@ tr A, tr A² and tr A³ over the closed walks of each sample's own support, by
 Newton's identities: not by either path of char_poly (the cycle-cover
 expansion or the trace recursion), which builds and checks realizations.
 Each sample is checked as one flat, row-major list of n*n ints, entry (i, j)
-at index i*n + j, which conformance, the support key and the walk sums read.
+at index i*n + j: its draw is written straight into the pattern's flat
+nonzero positions, one ``tuple(map(bool, a))`` pass gives the support that
+conformance compares with the pattern's and that picks the walk sums, and
+the walk sums are one straight-line expression compiled once per support.
 Sampled evidence: spectral arbitrariness is a universally quantified claim
 over an uncountable set, so the suite realizes batches of random targets and
 labels the evidence kind rather than overclaiming.
@@ -29,11 +32,12 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .matrices import RationalMatrix, _rows_conform, block_diag, block_orders, conforms
+from .matrices import RationalMatrix, block_diag, block_orders, conforms
 from .patterns import SignPattern, builtin_pattern, is_superpattern
 from .poly import (
     Polynomial,
@@ -53,41 +57,47 @@ def random_monic_polynomial(degree: int, rng: random.Random) -> Polynomial:
     return Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(degree)) + (1.0,))
 
 
-def _nonzero_codes(codes) -> list:
-    # (i, j, sign code) of every nonzero entry, row-major
-    return [(i, j, s) for i, row in enumerate(codes) for j, s in enumerate(row) if s]
+def _flat_pattern(pattern: SignPattern) -> tuple:
+    # the pattern's support key tuple(map(bool, codes)) over all n*n entries,
+    # row-major, and the flat indices i*n + j of its nonzero entries with
+    # their sign codes
+    flat = [s for row in pattern._codes for s in row]
+    positions = tuple([p for p, s in enumerate(flat) if s])
+    return tuple(map(bool, flat)), positions, tuple([flat[p] for p in positions])
 
 
-def _draw(nonzeros: list, rng: random.Random) -> list:
-    # one (i, j, k, l) per nonzero entry, entry k/l: k then l uniform in
-    # 1..100 by randint(1, 100)'s own rejection loop, k taking the sign
+def _draw(signs: tuple, rng: random.Random) -> tuple:
+    # the signed numerators k and the denominators l of one sample, one of
+    # each per nonzero entry in row-major order: k then l uniform in 1..100
+    # by randint(1, 100)'s own rejection loop, k taking the entry's sign
     bits = rng.getrandbits
-    draws = []
-    for i, j, s in nonzeros:
+    ks, ls = [], []
+    for s in signs:
         k = bits(7)
         while k >= 100:
             k = bits(7)
         l = bits(7)
         while l >= 100:
             l = bits(7)
-        draws.append((i, j, s * (k + 1), l + 1))
-    return draws
+        ks.append(s * (k + 1))
+        ls.append(l + 1)
+    return ks, ls
 
 
-def _scaled_sample(n: int, draws: list) -> list:
+def _scaled_sample(n: int, positions: tuple, ks: list, ls: list) -> list:
     # the n x n int matrix lcm(l) * (k/l), flat and row-major: zero off the drawn entries
-    scale = math.lcm(*[d[3] for d in draws])
+    scale = math.lcm(*ls)
     a = [0] * (n * n)
-    for i, j, k, l in draws:
-        a[i * n + j] = k * (scale // l)
+    for p, k, l in zip(positions, ks, ls):
+        a[p] = k * (scale // l)
     return a
 
 
-def _sample_matrix(n: int, draws: list) -> RationalMatrix:
-    rows = [[0] * n for _ in range(n)]
-    for i, j, k, l in draws:
-        rows[i][j] = Fraction(k, l)
-    return RationalMatrix.from_rows(rows)
+def _sample_matrix(n: int, positions: tuple, ks: list, ls: list) -> RationalMatrix:
+    flat = [0] * (n * n)
+    for p, k, l in zip(positions, ks, ls):
+        flat[p] = Fraction(k, l)
+    return RationalMatrix.from_rows([flat[i : i + n] for i in range(0, n * n, n)])
 
 
 def sample_conforming_matrix(pattern: SignPattern, rng: random.Random) -> RationalMatrix:
@@ -98,7 +108,8 @@ def sample_conforming_matrix(pattern: SignPattern, rng: random.Random) -> Ration
     entries are exactly zero.  Each number consumes the same random stream
     as ``rng.randint(1, 100)``.
     """
-    return _sample_matrix(pattern.n, _draw(_nonzero_codes(pattern._codes), rng))
+    _, positions, signs = _flat_pattern(pattern)
+    return _sample_matrix(pattern.n, positions, *_draw(signs, rng))
 
 
 @dataclass(frozen=True)
@@ -112,35 +123,47 @@ class IdentityCheckReport(_Report):
     first_failure: RationalMatrix | None
 
 
+def _sum_source(walks: list) -> str:
+    # one Python sum over the walks' products of a[ij], each cyclic rotation
+    # class written once with its size as an integer coefficient; "0" when
+    # there is no walk
+    classes = Counter(min(w[r:] + w[:r] for r in range(len(w))) for w in walks)
+    terms = [(f"{c:d}*" if c > 1 else "") + "*".join([f"a[{ij:d}]" for ij in w]) for w, c in classes.items()]
+    return " + ".join(terms) or "0"
+
+
 @functools.lru_cache(maxsize=8)
-def _closed_walks(support: tuple, n: int) -> tuple:
-    # the closed walks of length 1, 2 and 3 of the digraph on n vertices with
-    # an arc i -> j where support[i*n + j] is true, each as the flat indices
-    # of its arcs: (ii,), (ij, ji), (ij, jk, ki)
+def _power_sums(support: tuple, n: int):
+    # a compiled function from a flat, row-major order-n matrix a with this
+    # support to (tr A, tr A², tr A³): each p_k is a straight-line sum over
+    # the closed walks of length k of the digraph with an arc i -> j where
+    # support[i*n + j] is true, written from their arcs' flat integer
+    # indices only, (ii,), (ij, ji) and (ij, jk, ki)
     arcs = [(i, j) for i in range(n) for j in range(n) if support[i * n + j]]
-    loops = tuple(i * n + i for i, j in arcs if i == j)
-    walks2 = tuple((i * n + j, j * n + i) for i, j in arcs if support[j * n + i])
-    walks3 = tuple(
+    loops = [(i * n + i,) for i, j in arcs if i == j]
+    walks2 = [(i * n + j, j * n + i) for i, j in arcs if support[j * n + i]]
+    walks3 = [
         (i * n + j, j * n + k, k * n + i)
         for i, j in arcs
         for k in range(n)
         if support[j * n + k] and support[k * n + i]
-    )
-    return loops, walks2, walks3
+    ]
+    sums = ", ".join(_sum_source(w) for w in (loops, walks2, walks3))
+    return eval(f"lambda a: ({sums})", {"__builtins__": {}})
 
 
-def _walk_coefficients(a: list, n: int) -> tuple:
+def _walk_coefficients(a: list, n: int, support: tuple | None = None) -> tuple:
     # (c[n-3], c[n-1]) of det(tI - A) for a square int matrix A of order
     # n >= 3, given as the row-major list a, exact and without char_poly's
     # cycle covers or trace recursion: p_k = tr A**k is a sum over the closed
-    # walks of length k in A's own support, and Newton's identities give
+    # walks of length k in A's own support (support is tuple(map(bool, a)),
+    # read from a when not given), and Newton's identities give
     # e2 = (p1**2 - p2)/2 and e3 = (e2*p1 - p1*p2 + p3)/3, so c[n-1] = -p1
     # and c[n-3] = -e3.  Both divisions are exact because e2 and e3 are sums
     # of principal minors of an integer matrix.
-    loops, walks2, walks3 = _closed_walks(tuple(map(bool, a)), n)
-    p1 = sum(a[ii] for ii in loops)
-    p2 = sum(a[ij] * a[ji] for ij, ji in walks2)
-    p3 = sum(a[ij] * a[jk] * a[ki] for ij, jk, ki in walks3)
+    if support is None:
+        support = tuple(map(bool, a))
+    p1, p2, p3 = _power_sums(support, n)(a)
     e2, r2 = divmod(p1 * p1 - p2, 2)
     e3, r3 = divmod(e2 * p1 - p1 * p2 + p3, 3)
     if r2 or r3:
@@ -148,20 +171,29 @@ def _walk_coefficients(a: list, n: int) -> tuple:
     return -e3, -p1
 
 
-def _identity_holds(which: str, a: list) -> bool:
+def _identity_holds(which: str, a: list, support: tuple | None = None) -> bool:
     # a is L*M, row-major, for a 6x6 rational M and an integer L > 0, so the
     # char poly of L*M has C5 = L*a5 and C3 = L**3*a3, and both identities
     # scale the same way; C3 and C5 come from the closed walks of a's
-    # support, so an entry outside the named pattern still counts.  r11, r22,
-    # r56 and r65 are a[0], a[7], a[29] and a[34]; Tprime's r12, r23 and r31
-    # are a[1], a[8] and a[12]
-    c3, c5 = _walk_coefficients(a, 6)
+    # support (tuple(map(bool, a)), read from a when not given), so an entry
+    # outside the named pattern still counts.  r11, r22, r56 and r65 are
+    # a[0], a[7], a[29] and a[34]; Tprime's r12, r23 and r31 are a[1], a[8]
+    # and a[12]
+    c3, c5 = _walk_coefficients(a, 6, support)
     head = a[0] + a[7]
     expected5 = -head
     expected3 = head * a[29] * a[34]
     if which == "Tprime":
         expected3 = expected3 - a[1] * a[8] * a[12]
     return c3 == expected3 and c5 == expected5
+
+
+def _flat_conforms(a: list, support: tuple, key: tuple, positions: tuple, plus: list) -> bool:
+    # _rows_conform of the flat sample a against the pattern, over all n*n
+    # entries: support = tuple(map(bool, a)) equals the pattern's support
+    # key, so a is zero exactly where the pattern is, and then each entry at
+    # the pattern's nonzero positions is positive exactly where plus says so
+    return support == key and [a[p] > 0 for p in positions] == plus
 
 
 def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCheckReport:
@@ -177,13 +209,17 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     The samples are the successive draws of ``sample_conforming_matrix``
     from ``random.Random(seed)``: nonzero entries only, row-major, k then l
     uniform in 1..100 on the stream of ``randint(1, 100)``.  Each is checked
-    as the integer matrix lcm(l) * (k/l), held as one row-major list of n*n
-    ints, for conformance over all n*n entries and for both identities; the
-    first failing sample is reported as drawn, as a ``RationalMatrix``.  The
-    t**5 and t**3 coefficients of each sample are computed exactly from tr A,
-    tr A² and tr A³, summed over the closed walks of the sample's own
-    support, by Newton's identities; this check shares no code with either
-    path of ``char_poly``, the cycle-cover expansion or the trace recursion.
+    as the integer matrix lcm(l) * (k/l), written straight into the
+    pattern's flat nonzero positions of one row-major list a of n*n ints.
+    One pass ``tuple(map(bool, a))`` gives the sample's support.
+    Conformance, over all n*n entries, is that support equal to the
+    pattern's and each of the pattern's nonzeros of its sign.  The t**5 and
+    t**3 coefficients are computed exactly from tr A, tr A² and tr A³, by
+    Newton's identities; the three power sums are one straight-line
+    expression over the closed walks of the sample's own support, compiled
+    once per support.  This check shares no code with either path of
+    ``char_poly``, the cycle-cover expansion or the trace recursion.  The
+    first failing sample is reported as drawn, as a ``RationalMatrix``.
     samples and seed must be ints (not bools), so that the report names the
     run.
     """
@@ -195,16 +231,17 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     if samples < 1:
         raise ValueError("samples must be at least 1")
     pattern = builtin_pattern(which)
-    n, codes = pattern.n, pattern._codes
-    nonzeros = _nonzero_codes(codes)
-    flat_codes = [s for row in codes for s in row]
+    n = pattern.n
+    key, positions, signs = _flat_pattern(pattern)
+    plus = [s > 0 for s in signs]
     rng = random.Random(seed)
     first_failure = None
     for _ in range(samples):
-        draws = _draw(nonzeros, rng)
-        a = _scaled_sample(n, draws)
-        if not (_rows_conform((a,), (flat_codes,)) and _identity_holds(which, a)):
-            first_failure = _sample_matrix(n, draws)
+        ks, ls = _draw(signs, rng)
+        a = _scaled_sample(n, positions, ks, ls)
+        support = tuple(map(bool, a))
+        if not (_flat_conforms(a, support, key, positions, plus) and _identity_holds(which, a, support)):
+            first_failure = _sample_matrix(n, positions, ks, ls)
             break
     return IdentityCheckReport(
         pattern=pattern,

@@ -29,7 +29,7 @@ from signspectra.poly import (
     _linear_subdigraphs,
     _over_common_denominator,
 )
-from signspectra.verify import _walk_coefficients
+from signspectra.verify import _power_sums, _walk_coefficients
 
 
 def test_polynomial_backends():
@@ -488,8 +488,67 @@ def test_walk_coefficients_match_charpoly_int():
         n = len(a)
         full = _charpoly_int(_flat(a), n)
         assert _walk_coefficients(_flat(a), n) == (full[n - 3], full[n - 1])
+        assert _walk_coefficients(_flat(a), n, _support(a)[0]) == (full[n - 3], full[n - 1])
 
     same_coefficients()
+
+
+def _edge_support_matrices(n, rng):
+    # (name, flat matrix) of order n whose support leaves some power sum of
+    # the identity check with no closed walk at all
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(1, 10**6)
+
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    half = n // 2
+    # one arc of each pair of vertices, in a random direction: a tournament
+    forward = {(i, j): rng.random() < 0.5 for i, j in cells if i < j}
+    arcs = {(i, j) if up else (j, i) for (i, j), up in forward.items()}
+    yield "all zero", [0] * (n * n)
+    # no loops: p1 is the empty sum
+    yield "no loops", [0 if i == j else entry() for i, j in cells]
+    # no loops and no 2-cycles: p1 and p2 are empty
+    yield "no 2-cycles", [entry() if (i, j) in arcs else 0 for i, j in cells]
+    # bipartite, both directions: no closed walk of odd length, so p1 and p3 are empty
+    yield "no 3-cycles", [entry() if (i < half) != (j < half) else 0 for i, j in cells]
+    # the same with loops: p3 keeps only the loop and loop-2-cycle terms
+    yield "no 3-cycles, loops", [entry() if (i < half) != (j < half) or i == j else 0 for i, j in cells]
+    # one loop: each sum has a single term
+    yield "one loop", [entry() if i == j == 0 else 0 for i, j in cells]
+
+
+def test_power_sums_on_edge_supports():
+    # the compiled walk sums match _charpoly_int's two coefficients at orders
+    # 3-8 on supports where a sum has no term; an empty sum is the int 0
+    rng = random.Random(38)
+    for n in range(3, 9):
+        for _ in range(5):
+            for name, a in _edge_support_matrices(n, rng):
+                full = _charpoly_int(a, n)
+                assert _walk_coefficients(a, n) == (full[n - 3], full[n - 1]), (name, n)
+                sums = _power_sums(tuple(map(bool, a)), n)(a)
+                assert type(sums) is tuple and len(sums) == 3 and all(type(p) is int for p in sums)
+                if name == "all zero":
+                    assert sums == (0, 0, 0)
+                if name == "no 2-cycles":
+                    assert sums[:2] == (0, 0)
+                if name == "no 3-cycles":
+                    assert sums[0] == sums[2] == 0
+                if name == "one loop":
+                    assert sums == (a[0], a[0] ** 2, a[0] ** 3)
+
+
+def test_power_sums_cache_stays_bounded():
+    # one compiled function per support, and never more than maxsize kept
+    rng = random.Random(7)
+    maxsize = _power_sums.cache_info().maxsize
+    assert maxsize == 8
+    for _ in range(200):
+        n = rng.randint(3, 8)
+        a = [rng.choice((0, 0, 1, -2)) for _ in range(n * n)]
+        full = _charpoly_int(a, n)
+        assert _walk_coefficients(a, n) == (full[n - 3], full[n - 1])
+        assert _power_sums.cache_info().currsize <= maxsize
 
 
 def test_exactness_guards_raise_on_a_non_integer_entry():

@@ -103,7 +103,7 @@ def test_check_identity_first_failure_is_the_drawn_sample(monkeypatch):
         for seed, k in ((0, 1), (11, 3)):
             calls = []
 
-            def fail_on_kth(which_arg, a, calls=calls, k=k):
+            def fail_on_kth(which_arg, a, support, calls=calls, k=k):
                 calls.append(which_arg)
                 return len(calls) < k
 
@@ -157,14 +157,18 @@ def test_sampler_consumes_the_randint_stream(pattern):
     # in the same state; a changed bit width, rejection bound or draw order
     # gives other numbers or another state
     verify = importlib.import_module("signspectra.verify")
-    nonzeros = verify._nonzero_codes(pattern._codes)
+    n = pattern.n
+    key, positions, signs = verify._flat_pattern(pattern)
+    nonzeros = [(i, j) for i in range(n) for j in range(n) if pattern[i, j] is not Sign.ZERO]
+    assert [divmod(p, n) for p in positions] == nonzeros
+    assert key == tuple(pattern[i, j] is not Sign.ZERO for i in range(n) for j in range(n))
     for seed in (0, 1, 7, 2024, 2**40 + 3):
         ref, mine, sampled = random.Random(seed), random.Random(seed), random.Random(seed)
         for _ in range(4):
             pairs, matrix = randint_draw(pattern, ref)
-            draws = verify._draw(nonzeros, mine)
-            assert [(i, j) for i, j, _, _ in draws] == [(i, j) for i, j, _ in nonzeros]
-            assert [(k, l) for _, _, k, l in draws] == pairs
+            ks, ls = verify._draw(signs, mine)
+            assert len(ks) == len(ls) == len(nonzeros)
+            assert list(zip(ks, ls)) == pairs
             assert mine.getstate() == ref.getstate()
             assert sample_conforming_matrix(pattern, sampled) == matrix
             assert sampled.getstate() == ref.getstate()
@@ -173,23 +177,24 @@ def test_sampler_consumes_the_randint_stream(pattern):
 def test_check_identity_checks_the_sample_it_reports(monkeypatch):
     # the integer matrix handed to both checks is lcm(l) times the entries of
     # the sample_conforming_matrix draw of the same seed, row-major, on every
-    # sample; conformance reads it as one row of n*n entries
+    # sample; conformance reads that same flat list of n*n entries, with the
+    # one support pass that the identity check reads too
     verify = importlib.import_module("signspectra.verify")
-    rows_conform = verify._rows_conform
+    flat_conforms = verify._flat_conforms
     for which in ("T", "Tprime"):
         pattern = builtin_pattern(which)
         for seed in (0, 3, 99):
             conformed, checked = [], []
 
-            def record_conform(a, codes, conformed=conformed):
-                conformed.append(a)
-                return rows_conform(a, codes)
+            def record_conform(a, support, *rest, conformed=conformed):
+                conformed.append((a, support))
+                return flat_conforms(a, support, *rest)
 
-            def record_identity(which_arg, a, checked=checked):
-                checked.append(a)
+            def record_identity(which_arg, a, support, checked=checked):
+                checked.append((a, support))
                 return True
 
-            monkeypatch.setattr(verify, "_rows_conform", record_conform)
+            monkeypatch.setattr(verify, "_flat_conforms", record_conform)
             monkeypatch.setattr(verify, "_identity_holds", record_identity)
             assert check_identity(which, samples=6, seed=seed).all_passed
             ref, sampled = random.Random(seed), random.Random(seed)
@@ -199,9 +204,59 @@ def test_check_identity_checks_the_sample_it_reports(monkeypatch):
                 scale = math.lcm(*(l for _, l in pairs))
                 m = sample_conforming_matrix(pattern, sampled)
                 expected.append([scale * e for row in m.entries for e in row])
-            assert checked == expected
-            assert conformed == [(a,) for a in checked]
-            assert all(type(e) is int for a in checked for e in a)
+            assert [a for a, _ in checked] == expected
+            assert conformed == checked
+            assert all(support == tuple(map(bool, a)) for a, support in checked)
+            assert all(type(e) is int for a, _ in checked for e in a)
+
+
+def _corruptions(pattern):
+    # (name, flat index, how) for every entry conformance must reject: each
+    # nonzero with its sign flipped or set to zero, and each zero set to +1
+    n = pattern.n
+    for p in range(n * n):
+        if pattern[divmod(p, n)] is Sign.ZERO:
+            yield "nonzero at a pattern zero", p, lambda e: 1
+        else:
+            yield "wrong sign at a pattern nonzero", p, lambda e: -e
+            yield "zero at a pattern nonzero", p, lambda e: 0
+
+
+def test_check_identity_fails_a_sample_that_does_not_conform(monkeypatch):
+    # one entry of the k-th scaled sample is corrupted before its checks run:
+    # conformance over all n*n entries must reject it before the identity
+    # check sees it, and the report names the k-th draw of
+    # sample_conforming_matrix, as drawn
+    verify = importlib.import_module("signspectra.verify")
+    scaled_sample, identity_holds = verify._scaled_sample, verify._identity_holds
+    for which in ("T", "Tprime"):
+        pattern = builtin_pattern(which)
+        for seed, k in ((0, 1), (11, 3)):
+            rng = random.Random(seed)
+            drawn = [sample_conforming_matrix(pattern, rng) for _ in range(k)][-1]
+            kinds = set()
+            for name, p, how in _corruptions(pattern):
+                built, identities = [], []
+
+                def corrupt_kth(*args, built=built, p=p, how=how, k=k):
+                    a = scaled_sample(*args)
+                    built.append(a)
+                    if len(built) == k:
+                        a[p] = how(a[p])
+                    return a
+
+                def record_identity(*args, identities=identities):
+                    identities.append(args)
+                    return identity_holds(*args)
+
+                monkeypatch.setattr(verify, "_scaled_sample", corrupt_kth)
+                monkeypatch.setattr(verify, "_identity_holds", record_identity)
+                report = check_identity(which, samples=5, seed=seed)
+                assert not report.all_passed, (name, p)
+                assert report.first_failure == drawn, (name, p)
+                assert len(built) == k and len(identities) == k - 1, (name, p)
+                kinds.add(name)
+            assert len(kinds) == 3
 
 
 def test_check_identity_validation():
@@ -246,9 +301,9 @@ def test_identity_check_separates_the_patterns():
     verify = importlib.import_module("signspectra.verify")
     pattern = builtin_pattern("Tprime")
     rng = random.Random(5)
-    nonzeros = verify._nonzero_codes(pattern._codes)
+    _, positions, signs = verify._flat_pattern(pattern)
     for _ in range(50):
-        a = verify._scaled_sample(6, verify._draw(nonzeros, rng))
+        a = verify._scaled_sample(6, positions, *verify._draw(signs, rng))
         assert not verify._identity_holds("T", a)
         assert verify._identity_holds("Tprime", a)
 
@@ -257,13 +312,16 @@ def test_identity_reads_the_sample_support_not_the_named_pattern():
     # one extra nonzero at (3, 1) on a T sample closes the 3-cycle 1 -> 2 -> 3,
     # whose term T's identity lacks: the check must see the entry even though
     # the named pattern has no arc there
+    # (the two-argument call reads the support of the a it is given)
     verify = importlib.import_module("signspectra.verify")
-    nonzeros = verify._nonzero_codes(builtin_pattern("T")._codes)
-    a = verify._scaled_sample(6, verify._draw(nonzeros, random.Random(3)))
+    _, positions, signs = verify._flat_pattern(builtin_pattern("T"))
+    a = verify._scaled_sample(6, positions, *verify._draw(signs, random.Random(3)))
     assert verify._identity_holds("T", a)
     a[12] = 1
     assert not verify._identity_holds("T", a)
     assert verify._identity_holds("Tprime", a)
+    assert not verify._identity_holds("T", a, tuple(map(bool, a)))
+    assert verify._identity_holds("Tprime", a, tuple(map(bool, a)))
 
 
 def test_identity_verdict_matches_char_poly_on_the_same_sample():
@@ -278,12 +336,14 @@ def test_identity_verdict_matches_char_poly_on_the_same_sample():
     cases, scales = [], []
     for which in ("T", "Tprime"):
         pattern = builtin_pattern(which)
-        nonzeros = verify._nonzero_codes(pattern._codes)
+        _, positions, signs = verify._flat_pattern(pattern)
         for _ in range(100):
-            draws = verify._draw(nonzeros, rng)
-            cases.append((verify._scaled_sample(6, draws), verify._sample_matrix(6, draws).entries))
+            ks, ls = verify._draw(signs, rng)
+            cases.append(
+                (verify._scaled_sample(6, positions, ks, ls), verify._sample_matrix(6, positions, ks, ls).entries)
+            )
             if which == "T":
-                scales.append(math.lcm(*(l for _, _, _, l in draws)))
+                scales.append(math.lcm(*ls))
     zeros = [(i, j) for i in range(6) for j in range(6) if builtin_pattern("T")[i, j] is Sign.ZERO]
     assert len(zeros) == 22
     for (a, rows), scale in zip(cases[:100], scales):
