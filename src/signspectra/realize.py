@@ -114,12 +114,12 @@ def _sextic_params(a, x3, one) -> tuple:
     return x1, x2, x3, x4, x5, x6, x7, x8, x9
 
 
-def _exact_sextic_params(a) -> tuple:
-    # _sextic_params on a rational target, on ints: each margin is an int over
-    # a power of one base b = d*q*r (d the target's common denominator,
-    # x3 = p/q and s = S/r).  Returns the nine numerators and their positive
-    # denominators, unreduced.
-    (a0, a1, a2, a3, a4, a5, _), d = _over_common_denominator(a)
+def _exact_sextic_params(a, d) -> tuple:
+    # _sextic_params on the rational sextic sum_k a[k]/d * t**k, on ints (a
+    # the numerators over the common denominator d): each margin is an int
+    # over a power of one base b = d*q*r (x3 = p/q and s = S/r).  Returns the
+    # nine numerators and their positive denominators, unreduced.
+    a0, a1, a2, a3, a4, a5, _ = a
     x3 = Fraction(a3, a5) if a5 else Fraction(1)
     p, q = x3.numerator, x3.denominator
     gap = p * d - a4 * q
@@ -156,6 +156,39 @@ def _exact_sextic_params(a) -> tuple:
 # the sign of the template entry that holds each parameter x1..x9
 _SIGNS = (1, -1, -1, -1, -1, -1, 1, 1, 1)
 
+_ONE = Fraction(1)
+
+
+def _template(cls, params, entries, one):
+    # the template over cls from its nine parameters (on the exact path, their
+    # numerators over positive denominators) and its signed entries
+    for k, x in enumerate(params, start=1):
+        if not 0 < x < math.inf:
+            value = _SIGNS[k - 1] * entries[k - 1]
+            raise ArithmeticError(f"template parameter x{k} = {value} is not positive and finite")
+    # n_k is the entry -x_k
+    x1, n2, n3, n4, n5, n6, x7, x8, x9 = entries
+    o = cls.zero
+    return cls.from_rows(
+        [
+            [x1, one, o, o, o, o],
+            [n4, n2, one, o, o, o],
+            [o, o, o, one, o, o],
+            [o, o, o, o, one, o],
+            [n6, n5, o, o, o, one],
+            [x7, x8, x9, o, n3, o],
+        ]
+    )
+
+
+def _exact_template(a, d) -> RationalMatrix:
+    # the exact template for a sextic that passes the gate, given as its int
+    # numerators a (ascending) over their common denominator d.  The
+    # denominators of the parameters are positive, so each numerator carries
+    # its parameter's sign, and each entry is one Fraction, made signed.
+    params, dens = _exact_sextic_params(a, d)
+    return _template(RationalMatrix, params, list(map(Fraction, map(mul, _SIGNS, params), dens)), _ONE)
+
 
 def realize_sextic(target: Polynomial):
     """Matrix over pattern T matching a monic degree-6 target that passes the gate.
@@ -186,33 +219,12 @@ def realize_sextic(target: Polynomial):
             f"got a3 = {target.coeffs[3]}, a5 = {target.coeffs[5]}"
         )
     a = target.coeffs
-    # the monic lead, Fraction(1) or 1.0
-    one = a[-1]
     if target.backend == "rational":
-        cls, (params, dens) = RationalMatrix, _exact_sextic_params(a)
-        # the denominators are positive, so each numerator carries its
-        # parameter's sign, and each entry is one Fraction, made signed
-        entries = list(map(Fraction, map(mul, _SIGNS, params), dens))
-    else:
-        cls, params = FloatMatrix, _sextic_params(a, a[3] / a[5] if a[5] else one, one)
-        entries = list(map(mul, _SIGNS, params))
-    for k, x in enumerate(params, start=1):
-        if not 0 < x < math.inf:
-            value = _SIGNS[k - 1] * entries[k - 1]
-            raise ArithmeticError(f"template parameter x{k} = {value} is not positive and finite")
-    # n_k is the entry -x_k
-    x1, n2, n3, n4, n5, n6, x7, x8, x9 = entries
-    o = cls.zero
-    return cls.from_rows(
-        [
-            [x1, one, o, o, o, o],
-            [n4, n2, one, o, o, o],
-            [o, o, o, one, o, o],
-            [o, o, o, o, one, o],
-            [n6, n5, o, o, o, one],
-            [x7, x8, x9, o, n3, o],
-        ]
-    )
+        return _exact_template(*_over_common_denominator(a))
+    # the monic lead, 1.0
+    one = a[-1]
+    params = _sextic_params(a, a[3] / a[5] if a[5] else one, one)
+    return _template(FloatMatrix, params, list(map(mul, _SIGNS, params)), one)
 
 
 def _sextic_target(quads) -> Polynomial:
@@ -408,6 +420,10 @@ def realize_poly(
 
 def _as_inertia(nu) -> RefinedInertia:
     nu = RefinedInertia(*nu)
+    for name, x in zip(nu._fields, nu):
+        # a bool is an int to isinstance: (True, True, 6, 0) would count as (1, 1, 6, 0)
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"inertia component {name} must be an int, got {type(x).__name__}")
     if any(x < 0 for x in nu):
         raise ValueError(f"inertia components must be nonnegative, got {tuple(nu)}")
     return nu
@@ -448,8 +464,9 @@ def realize_subinertia(nu) -> tuple:
     cubic by doubling N makes the product pass the a3/a5 gate.  N runs
     through 1, 2, 4 and 8, which suffices for every nu of total 8; past it
     the construction raises ArithmeticError naming nu.  The gate is tested
-    on the product's integer coefficients, and one Polynomial is built, for
-    the first N that passes.
+    once per N on the product's integer coefficients, and the first sextic
+    that passes goes to the exact template as those ints: no Polynomial is
+    built.  Each component of nu must be an int (not a bool).
     """
     nu = _as_inertia(nu)
     if nu.order() != 8:
@@ -460,8 +477,10 @@ def realize_subinertia(nu) -> tuple:
     if nu.n_zero + 2 * nu.n_imag >= 6:
         mi = min(nu.n_imag, 3)
         m0 = 6 - 2 * mi
-        vals = ((2, 3, 5)[:mi] + (0, 0, 0))[:3]
-        return RefinedInertia(0, 0, m0, mi), realize_even_sextic(*vals)
+        v0, v1, v2 = ((2, 3, 5)[:mi] + (0, 0, 0))[:3]
+        # (t²+v0)(t²+v1)(t²+v2) has a3 = a5 = 0, so it passes the gate
+        c = _convolve(_convolve([v0, 0, 1], [v1, 0, 1]), [v2, 0, 1])
+        return RefinedInertia(0, 0, m0, mi), _exact_template(c, 1)
 
     # drop an imaginary pair; otherwise two eigenvalues one at a time, a zero
     # first, else one from the larger real side (ties go to plus)
@@ -488,7 +507,7 @@ def realize_subinertia(nu) -> tuple:
     for n in (1, 2, 4, 8):
         c = _convolve([c3 * n**3, c2 * n**2, c1 * n, 1], h)
         if not _gate_fails(c[3], c[5]):
-            return mu, realize_sextic(Polynomial(tuple(c)))
+            return mu, _exact_template(c, 1)
     raise ArithmeticError(f"no cubic scale N up to 8 passes the sextic gate for {tuple(nu)}")
 
 

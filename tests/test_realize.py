@@ -807,22 +807,28 @@ def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch
     # of the cubic scale N stops by N = 8, and every leftover nu - mu is one
     # of seven tuples, so none of these needs a fallback.
     gate = realize._gate_fails
+    template = realize._exact_template
     calls = []
+    sextics = []
     monkeypatch.setattr(realize, "_gate_fails", lambda a3, a5: calls.append((a3, a5)) or gate(a3, a5))
+    monkeypatch.setattr(realize, "_exact_template", lambda a, d: sextics.append(a) or template(a, d))
     paths = Counter()
     leftovers = Counter()
     quads = {}
     for nu in _all_inertia_tuples():
         calls.clear()
+        sextics.clear()
         mu, _ = realize_subinertia(nu)
-        # the scale loop tests the gate on (a3, a5) once per N, and
-        # realize_sextic once more on the sextic it is given: that is the even
-        # sextic's only call, and the last of the cubic path's
-        if len(calls) == 1:
-            assert calls[0] == (0, 0)
+        # one sextic reaches the template.  The scale loop tests the gate on
+        # (a3, a5) once per N, the last time on that sextic; the even sextic
+        # has a3 = a5 = 0 and makes no gate call
+        [sextic] = sextics
+        if not calls:
+            assert (sextic[3], sextic[5]) == (0, 0)
             paths["even sextic"] += 1
         else:
-            paths[f"N = {2 ** (len(calls) - 2)}"] += 1
+            assert calls[-1] == (sextic[3], sextic[5])
+            paths[f"N = {2 ** (len(calls) - 1)}"] += 1
         leftover = tuple(a - b for a, b in zip(nu, mu))
         leftovers[leftover] += 1
         # the 2x2 block's char poly t**2 + p1*t + p0, from its trace and det
@@ -848,6 +854,50 @@ def test_refined_inertias_of_total_8_reach_every_branch_and_no_other(monkeypatch
         (1, 0, 1, 0): {(-1, 0)},
         (0, 1, 1, 0): {(1, 0)},
     }
+
+
+def test_every_sextic_handed_to_the_template_passes_the_gate_and_is_its_char_poly(monkeypatch):
+    # realize_subinertia hands its sextic to the template as ints, with no
+    # second gate test; this is that test, over the whole domain
+    template = realize._exact_template
+    handed = []
+
+    def record(a, d):
+        m = template(a, d)
+        handed.append((a, d, m))
+        return m
+
+    monkeypatch.setattr(realize, "_exact_template", record)
+    even = 0
+    for nu in _all_inertia_tuples():
+        handed.clear()
+        _, m = realize_subinertia(nu)
+        [(a, d, built)] = handed
+        assert built is m
+        assert d == 1 and all(type(c) is int for c in a)
+        assert not realize._gate_fails(a[3], a[5])
+        assert char_poly(m).coeffs == tuple(map(Fraction, a))
+        # six eigenvalues on the axes: the even sextic
+        if nu[2] + 2 * nu[3] >= 6:
+            assert (a[3], a[5]) == (0, 0)
+            even += 1
+    assert even == 25
+
+
+@pytest.mark.parametrize(
+    "nu, name, got",
+    [
+        ((True, True, 6, 0), "n_plus", "bool"),
+        ((8.0, 0, 0, 0), "n_plus", "float"),
+        (("8", 0, 0, 0), "n_plus", "str"),
+        ((0, 0, 2, Fraction(3)), "n_imag", "Fraction"),
+        (RefinedInertia(4, 4, 0.0, 0), "n_zero", "float"),
+    ],
+)
+def test_inertia_components_must_be_ints(nu, name, got):
+    for build in (realize_subinertia, realize_inertia):
+        with pytest.raises(TypeError, match=f"^inertia component {name} must be an int, got {got}$"):
+            build(nu)
 
 
 # sha256 of json.dumps([realize_inertia(nu).to_dict() for nu in _all_inertia_tuples()]),
