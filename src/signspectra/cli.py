@@ -34,7 +34,8 @@ def _load_poly(path: str):
             return polynomial_from_dict(json.load(fh))
     except OSError as e:
         raise ValueError(f"cannot open POLY '{path}': {e.strerror}") from None
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
+        # RecursionError: JSON nested deeper than the interpreter's recursion limit
         raise ValueError(f"invalid polynomial input: {e}") from None
 
 

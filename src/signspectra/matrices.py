@@ -12,7 +12,9 @@ working representation for numeric pipelines.  Every finite double is a
 rational number, so both types have exact characteristic polynomials and
 residuals (computed in poly.py on integers scaled straight from the
 entries), and a float matrix lifts to the rational type without loss.
-Conformance compares each entry's sign with the pattern's integer sign codes.
+Conformance has one predicate, ``_flat_conforms``, over a flat row-major
+list of entries and the pattern's cached flat form; ``conforms`` and the
+identity check in verify.py both call it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+def _require_ints(*named) -> None:
+    # (name, value) pairs; a bool is an int to isinstance, so True would count as 1
+    for name, value in named:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def _as_fraction(value) -> Fraction:
@@ -188,20 +197,20 @@ def conforms(matrix, pattern: SignPattern) -> bool:
     """True when every entry's sign matches the pattern entry exactly.
 
     Zero pattern entries require exactly zero matrix entries; no tolerance is
-    applied on either backend.
+    applied on either backend.  The rows are flattened once for ``_flat_conforms``.
     """
     if matrix.n != pattern.n:
         raise ValueError(f"order mismatch: matrix is {matrix.n}, pattern is {pattern.n}")
-    return _rows_conform(matrix.entries, pattern._codes)
+    a = [e for row in matrix.entries for e in row]
+    key, positions, _, plus = pattern._flat
+    return _flat_conforms(a, tuple(map(bool, a)), key, positions, plus)
 
 
-def _rows_conform(rows, codes) -> bool:
-    # every entry's (e > 0) - (e < 0) equals its pattern's sign code
-    for row, row_codes in zip(rows, codes):
-        for e, s in zip(row, row_codes):
-            if (e > 0) - (e < 0) != s:
-                return False
-    return True
+def _flat_conforms(a: list, support: tuple, key: tuple, positions: tuple, plus: list) -> bool:
+    # the row-major entries a, of support tuple(map(bool, a)), are zero exactly
+    # where the pattern's key is false, and the entries at the pattern's
+    # nonzero positions are positive exactly where plus says so
+    return support == key and [a[p] > 0 for p in positions] == plus
 
 
 def block_diag(blocks: Iterable):

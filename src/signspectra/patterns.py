@@ -5,7 +5,9 @@ positive, zero, or negative.  ``SignPattern`` shares the square-array base of
 the matrix types in matrices.py, so one shape rule and one direct sum,
 ``block_diag``, serve patterns and matrices alike.  The built-ins cover the
 parameterized 6x6 template pattern, a 2x2 companion-style pattern, and their
-block-diagonal compositions up to arbitrary size.
+block-diagonal compositions up to arbitrary size.  Each pattern caches one
+flat row-major form, ``_flat``, the only one conformance and the identity
+check's sampler read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .matrices import _Square, block_diag
+from .matrices import _Square, _require_ints, block_diag
 
 
 class Sign(Enum):
@@ -59,13 +61,16 @@ class SignPattern(_Square):
         return row
 
     @cached_property
-    def _codes(self) -> tuple:
-        # entry signs as ints 1, 0, -1, the value of (e > 0) - (e < 0); compared
-        # by identity, since hashing an Enum member runs Python code
+    def _flat(self) -> tuple:
+        # over the n*n entries, row-major: the support key of the codes 1, 0,
+        # -1, the indices i*n + j of the nonzeros, their codes, and their > 0
+        # flags as a list, which conformance compares with a list.  Members are
+        # compared by identity: hashing an Enum member runs Python code
         plus, minus = Sign.PLUS, Sign.MINUS
-        return tuple(
-            tuple([1 if s is plus else -1 if s is minus else 0 for s in row]) for row in self.entries
-        )
+        codes = [1 if s is plus else -1 if s is minus else 0 for row in self.entries for s in row]
+        positions = tuple([p for p, c in enumerate(codes) if c])
+        signs = tuple([codes[p] for p in positions])
+        return tuple(map(bool, codes)), positions, signs, [c > 0 for c in signs]
 
     @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "SignPattern":
@@ -73,15 +78,19 @@ class SignPattern(_Square):
         return cls(tuple(tuple(Sign.from_char(ch) for ch in row) for row in rows))
 
     def to_rows(self) -> list:
-        # "0+-"[code] is the character of code 0, 1 or -1
-        return ["".join(["0+-"[s] for s in row]) for row in self._codes]
+        # _value_ is the member's character as a plain attribute; .value runs Python code
+        return ["".join([s._value_ for s in row]) for row in self.entries]
 
     def to_dict(self) -> dict:
         return {"n": self.n, "rows": self.to_rows()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignPattern":
-        pattern = cls.from_rows(data["rows"])
+        rows = data["rows"]
+        # a string would otherwise be read as its characters, one row each
+        if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
+            raise ValueError("rows must be a list of strings")
+        pattern = cls.from_rows(rows)
         if "n" in data and data["n"] != pattern.n:
             raise ValueError(f"declared order {data['n']} does not match {pattern.n} rows")
         return pattern
@@ -117,6 +126,7 @@ _D = SignPattern.from_rows(_D_ROWS)
 
 def composite_pattern(t: int, d: int) -> SignPattern:
     """Direct sum of t copies of the 6x6 template pattern and d 2x2 blocks, in that order."""
+    _require_ints(("t", t), ("d", d))
     if t < 0 or d < 0 or t + d == 0:
         raise ValueError("need t >= 0, d >= 0 and at least one block")
     return block_diag([_T] * t + [_D] * d)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import mul
 
-from .matrices import FloatMatrix, RationalMatrix, block_diag, conforms
+from .matrices import FloatMatrix, RationalMatrix, _require_ints, block_diag, conforms
 from .patterns import builtin_pattern
 from .poly import Polynomial, Quadratic, _charpoly_scaled, _convolve, _over_common_denominator, _residual
 from .roots import RefinedInertia, find_roots, roots_to_quadratics
@@ -366,7 +366,9 @@ def realize_poly(
     raises ValueError unless 0 < tol < 1.  arrangement is "grouped" (template
     blocks first) or "alternating" (template and 2x2 blocks interleaved;
     needs t == d), which changes the conforming pattern but not the spectrum.
+    t and d must be ints, not bools.
     """
+    _require_ints(("t", t), ("d", d))
     if d < 5:
         raise ValueError("d must be at least 5")
     if t < 0:

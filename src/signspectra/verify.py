@@ -11,9 +11,9 @@ tr A, tr A² and tr A³ over the closed walks of each sample's own support, by
 Newton's identities: not by either path of char_poly (the cycle-cover
 expansion or the trace recursion), which builds and checks realizations.
 Each sample is checked as one flat, row-major list of n*n ints, entry (i, j)
-at index i*n + j: its draw is written straight into the pattern's flat
-nonzero positions, one ``tuple(map(bool, a))`` pass gives the support that
-conformance compares with the pattern's and that picks the walk sums, and
+at index i*n + j: its draw fills the nonzero positions of the pattern's flat
+form, one ``tuple(map(bool, a))`` pass gives the support that ``conforms``'s
+own predicate compares with the pattern's and that picks the walk sums, and
 the walk sums are one straight-line expression compiled once per support.
 Sampled evidence: spectral arbitrariness is a universally quantified claim
 over an uncountable set, so the suite realizes batches of random targets and
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .matrices import RationalMatrix, block_diag, block_orders, conforms
+from .matrices import RationalMatrix, _flat_conforms, _require_ints, block_diag, block_orders, conforms
 from .patterns import SignPattern, builtin_pattern, is_superpattern
 from .poly import (
     Polynomial,
@@ -55,15 +55,6 @@ from .roots import RefinedInertia, refined_inertia_of
 def random_monic_polynomial(degree: int, rng: random.Random) -> Polynomial:
     """Monic float polynomial with non-leading coefficients uniform in [-5, 5]."""
     return Polynomial(tuple(rng.uniform(-5.0, 5.0) for _ in range(degree)) + (1.0,))
-
-
-def _flat_pattern(pattern: SignPattern) -> tuple:
-    # the pattern's support key tuple(map(bool, codes)) over all n*n entries,
-    # row-major, and the flat indices i*n + j of its nonzero entries with
-    # their sign codes
-    flat = [s for row in pattern._codes for s in row]
-    positions = tuple([p for p, s in enumerate(flat) if s])
-    return tuple(map(bool, flat)), positions, tuple([flat[p] for p in positions])
 
 
 def _draw(signs: tuple, rng: random.Random) -> tuple:
@@ -108,7 +99,7 @@ def sample_conforming_matrix(pattern: SignPattern, rng: random.Random) -> Ration
     entries are exactly zero.  Each number consumes the same random stream
     as ``rng.randint(1, 100)``.
     """
-    _, positions, signs = _flat_pattern(pattern)
+    _, positions, signs, _ = pattern._flat
     return _sample_matrix(pattern.n, positions, *_draw(signs, rng))
 
 
@@ -152,17 +143,15 @@ def _power_sums(support: tuple, n: int):
     return eval(f"lambda a: ({sums})", {"__builtins__": {}})
 
 
-def _walk_coefficients(a: list, n: int, support: tuple | None = None) -> tuple:
+def _walk_coefficients(a: list, n: int, support: tuple) -> tuple:
     # (c[n-3], c[n-1]) of det(tI - A) for a square int matrix A of order
     # n >= 3, given as the row-major list a, exact and without char_poly's
     # cycle covers or trace recursion: p_k = tr A**k is a sum over the closed
     # walks of length k in A's own support (support is tuple(map(bool, a)),
-    # read from a when not given), and Newton's identities give
+    # which the caller has already computed), and Newton's identities give
     # e2 = (p1**2 - p2)/2 and e3 = (e2*p1 - p1*p2 + p3)/3, so c[n-1] = -p1
     # and c[n-3] = -e3.  Both divisions are exact because e2 and e3 are sums
     # of principal minors of an integer matrix.
-    if support is None:
-        support = tuple(map(bool, a))
     p1, p2, p3 = _power_sums(support, n)(a)
     e2, r2 = divmod(p1 * p1 - p2, 2)
     e3, r3 = divmod(e2 * p1 - p1 * p2 + p3, 3)
@@ -171,14 +160,13 @@ def _walk_coefficients(a: list, n: int, support: tuple | None = None) -> tuple:
     return -e3, -p1
 
 
-def _identity_holds(which: str, a: list, support: tuple | None = None) -> bool:
+def _identity_holds(which: str, a: list, support: tuple) -> bool:
     # a is L*M, row-major, for a 6x6 rational M and an integer L > 0, so the
     # char poly of L*M has C5 = L*a5 and C3 = L**3*a3, and both identities
-    # scale the same way; C3 and C5 come from the closed walks of a's
-    # support (tuple(map(bool, a)), read from a when not given), so an entry
-    # outside the named pattern still counts.  r11, r22, r56 and r65 are
-    # a[0], a[7], a[29] and a[34]; Tprime's r12, r23 and r31 are a[1], a[8]
-    # and a[12]
+    # scale the same way; C3 and C5 come from the closed walks of a's support
+    # tuple(map(bool, a)), so an entry outside the named pattern still counts.
+    # r11, r22, r56 and r65 are a[0], a[7], a[29] and a[34]; Tprime's r12,
+    # r23 and r31 are a[1], a[8] and a[12]
     c3, c5 = _walk_coefficients(a, 6, support)
     head = a[0] + a[7]
     expected5 = -head
@@ -186,14 +174,6 @@ def _identity_holds(which: str, a: list, support: tuple | None = None) -> bool:
     if which == "Tprime":
         expected3 = expected3 - a[1] * a[8] * a[12]
     return c3 == expected3 and c5 == expected5
-
-
-def _flat_conforms(a: list, support: tuple, key: tuple, positions: tuple, plus: list) -> bool:
-    # _rows_conform of the flat sample a against the pattern, over all n*n
-    # entries: support = tuple(map(bool, a)) equals the pattern's support
-    # key, so a is zero exactly where the pattern is, and then each entry at
-    # the pattern's nonzero positions is positive exactly where plus says so
-    return support == key and [a[p] > 0 for p in positions] == plus
 
 
 def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCheckReport:
@@ -209,12 +189,12 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     The samples are the successive draws of ``sample_conforming_matrix``
     from ``random.Random(seed)``: nonzero entries only, row-major, k then l
     uniform in 1..100 on the stream of ``randint(1, 100)``.  Each is checked
-    as the integer matrix lcm(l) * (k/l), written straight into the
-    pattern's flat nonzero positions of one row-major list a of n*n ints.
-    One pass ``tuple(map(bool, a))`` gives the sample's support.
-    Conformance, over all n*n entries, is that support equal to the
-    pattern's and each of the pattern's nonzeros of its sign.  The t**5 and
-    t**3 coefficients are computed exactly from tr A, tr A² and tr A³, by
+    as the integer matrix lcm(l) * (k/l), written straight into the pattern's
+    flat nonzero positions of one row-major list a of n*n ints.  One pass
+    ``tuple(map(bool, a))`` gives the sample's support.  Conformance is the
+    predicate ``conforms`` calls: that support equal to the pattern's and
+    each of the pattern's nonzeros of its sign.  The t**5 and t**3
+    coefficients are computed exactly from tr A, tr A² and tr A³, by
     Newton's identities; the three power sums are one straight-line
     expression over the closed walks of the sample's own support, compiled
     once per support.  This check shares no code with either path of
@@ -225,15 +205,12 @@ def check_identity(which: str, samples: int = 1000, seed: int = 0) -> IdentityCh
     """
     if which not in ("T", "Tprime"):
         raise ValueError(f'identity pattern must be "T" or "Tprime", got {which!r}')
-    for name, value in (("samples", samples), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    _require_ints(("samples", samples), ("seed", seed))
     if samples < 1:
         raise ValueError("samples must be at least 1")
     pattern = builtin_pattern(which)
     n = pattern.n
-    key, positions, signs = _flat_pattern(pattern)
-    plus = [s > 0 for s in signs]
+    key, positions, signs, plus = pattern._flat
     rng = random.Random(seed)
     first_failure = None
     for _ in range(samples):

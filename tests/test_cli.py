@@ -433,6 +433,25 @@ def test_string_coeffs_is_a_usage_error():
         assert result.stderr == "Error: invalid polynomial input: coeffs must be a list, got str\n"
 
 
+def test_deeply_nested_input_is_a_usage_error(tmp_path):
+    # nesting beyond the recursion limit stops the JSON decoder with a
+    # RecursionError, which must read as invalid input, not a traceback
+    blob = '{"coeffs": ' + "[" * 100000 + "]" * 100000 + "}"
+    path = tmp_path / "nested.json"
+    path.write_text(blob)
+    for args, stdin in (
+        (("factor", "-"), blob),
+        (("realize", "-", "--t", "1", "--d", "5"), blob),
+        (("factor", str(path)), None),
+    ):
+        result = run(*args, input=stdin)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("Error: invalid polynomial input: maximum recursion depth exceeded")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 def test_oversized_integer_coefficient_is_a_usage_error():
     blob = json.dumps({"coeffs": [10**400, 0, 1]})
     for args in (("factor", "-"), ("realize", "-", "--t", "0", "--d", "5")):

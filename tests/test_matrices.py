@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import PROPERTY_SETTINGS
+from hypothesis import given
+from hypothesis import strategies as st
 
 from signspectra import (
     FloatMatrix,
@@ -134,6 +137,59 @@ def test_conforms_is_exact():
         conforms(FloatMatrix.from_rows([[1.0]]), d)
 
 
+# nonzero magnitudes and zeros of each backend, the extremes included: the
+# smallest normal and subnormal doubles, tiny and huge Fractions, and -0.0
+_FLOAT_MAGNITUDES = (1.0, 2.5, 1e-300, 5e-324, 1e300)
+_FLOAT_ZEROS = (0.0, -0.0)
+_RATIONAL_MAGNITUDES = (Fraction(1), Fraction(1, 7), Fraction(1, 10**30), Fraction(10**30, 3))
+_RATIONAL_ZEROS = (Fraction(0),)
+
+
+@st.composite
+def _near_pattern(draw):
+    # a random pattern of order 1-8 and a matrix of either backend with the
+    # pattern's sign at every entry, then at most one entry corrupted: a
+    # nonzero flipped or zeroed, or a zero made nonzero
+    n = draw(st.integers(1, 8))
+    signs = draw(st.lists(st.sampled_from(Sign), min_size=n * n, max_size=n * n))
+    pattern = SignPattern(tuple(tuple(signs[i : i + n]) for i in range(0, n * n, n)))
+    rational = draw(st.booleans())
+    magnitudes = _RATIONAL_MAGNITUDES if rational else _FLOAT_MAGNITUDES
+    zeros = _RATIONAL_ZEROS if rational else _FLOAT_ZEROS
+    sign_of = {Sign.PLUS: 1, Sign.MINUS: -1}
+    a = [
+        draw(st.sampled_from(zeros)) if s is Sign.ZERO else sign_of[s] * draw(st.sampled_from(magnitudes))
+        for s in signs
+    ]
+    nonzero = [p for p, s in enumerate(signs) if s is not Sign.ZERO]
+    zero = [p for p, s in enumerate(signs) if s is Sign.ZERO]
+    kinds = ["none"] + ["flip", "zero"] * bool(nonzero) + ["nonzero"] * bool(zero)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("flip", "zero"):
+        p = draw(st.sampled_from(nonzero))
+        a[p] = -a[p] if kind == "flip" else draw(st.sampled_from(zeros))
+    elif kind == "nonzero":
+        p = draw(st.sampled_from(zero))
+        a[p] = draw(st.sampled_from((1, -1))) * draw(st.sampled_from(magnitudes))
+    cls = RationalMatrix if rational else FloatMatrix
+    return cls.from_rows([a[i : i + n] for i in range(0, n * n, n)]), pattern, kind
+
+
+def test_conforms_matches_the_entrywise_reference():
+    # conforms against Sign.of entry by entry, on both backends: every
+    # uncorrupted matrix conforms and every corruption is caught
+    @PROPERTY_SETTINGS
+    @given(_near_pattern())
+    def same_verdict(case):
+        m, p, kind = case
+        n = p.n
+        reference = all(Sign.of(m[i, j]) is p[i, j] for i in range(n) for j in range(n))
+        assert reference == (kind == "none")
+        assert conforms(m, p) is reference
+
+    same_verdict()
+
+
 def test_block_diag_matrices():
     a = RationalMatrix.from_rows([[1, 2], [3, 4]])
     b = RationalMatrix.from_rows([[5]])
@@ -174,9 +230,9 @@ def test_block_diag_equals_the_checked_constructor():
         assert repr(fast) == repr(checked)
         assert fast.entries == checked.entries
         assert all(type(row) is tuple for row in fast.entries)
-    # U3 is composed from U2 by block_diag; its sign codes match the checked pattern's
+    # U3 is composed from U2 by block_diag; its flat form matches the checked pattern's
     u3 = builtin_pattern("U3")
-    assert u3._codes == SignPattern(u3.entries)._codes
+    assert u3._flat == SignPattern(u3.entries)._flat
 
 
 def test_block_diag_type_rules():

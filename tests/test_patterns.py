@@ -51,6 +51,10 @@ def test_pattern_validation():
         SignPattern((("+",),))
     with pytest.raises(ValueError, match="does not match"):
         SignPattern.from_dict({"n": 3, "rows": ["+"]})
+    # a string would be read as its characters, and a non-string row is not a row
+    for rows in ("+", ["+", 5], ("+",), [["+"]]):
+        with pytest.raises(ValueError, match="rows must be a list of strings"):
+            SignPattern.from_dict({"rows": rows})
 
 
 def test_superpattern_basic():
@@ -125,6 +129,10 @@ def test_composite_pattern():
         composite_pattern(0, 0)
     with pytest.raises(ValueError):
         composite_pattern(-1, 2)
+    # a bool is an int to isinstance: True would count as one block
+    for t, d, name in ((True, 5, "t"), (1.0, 5, "t"), (1, False, "d"), (1, 5.0, "d"), (None, 5, "t")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            composite_pattern(t, d)
 
 
 def test_builtin_lookup_errors():

@@ -414,12 +414,17 @@ def test_cycle_covers_match_the_trace_recursion():
 def test_cycle_covers_of_the_builtin_supports(name):
     # huge entries of every sign on the pattern's support; S is block
     # diagonal with 65625 cycle covers, so it takes the trace recursion
-    codes = builtin_pattern(name)._codes
+    pattern = builtin_pattern(name)
+    n = pattern.n
+    key, positions, signs, _ = pattern._flat
+    codes = [0] * (n * n)
+    for p, s in zip(positions, signs):
+        codes[p] = s
     rng = random.Random(name)
     for _ in range(20):
-        a = [s * rng.randint(1, 10**30) for s in _flat(codes)]
-        assert _charpoly_int(a, len(codes)) == _charpoly_trace(a, len(codes))
-    assert (_linear_subdigraphs(*_support(codes)) is None) == (name == "S")
+        a = [s * rng.randint(1, 10**30) for s in codes]
+        assert _charpoly_int(a, n) == _charpoly_trace(a, n)
+    assert (_linear_subdigraphs(key, n) is None) == (name == "S")
 
 
 def test_cycle_cover_terms():
@@ -428,7 +433,7 @@ def test_cycle_cover_terms():
     # c[0] = a00*a11 - a01*a10 and c[1] = -a00 - a11
     counts = {"T": [4, 5, 4, 2, 3, 2, 1], "Tprime": [4, 6, 4, 3, 3, 2, 1]}
     for name, expected in counts.items():
-        terms = _linear_subdigraphs(*_support(builtin_pattern(name)._codes))
+        terms = _linear_subdigraphs(builtin_pattern(name)._flat[0], 6)
         assert [len(ck) for ck in terms] == expected
         for k, ck in enumerate(terms):
             for sign, arcs in ck:
@@ -436,7 +441,7 @@ def test_cycle_cover_terms():
                 pairs = [divmod(ij, 6) for ij in arcs]
                 assert sorted(i for i, _ in pairs) == sorted(j for _, j in pairs)
     # arcs are flat indices i*2 + j: 1 is a01, 2 is a10, 0 is a00 and 3 is a11
-    assert [sorted(ck) for ck in _linear_subdigraphs(*_support(builtin_pattern("D")._codes))] == [
+    assert [sorted(ck) for ck in _linear_subdigraphs(builtin_pattern("D")._flat[0], 2)] == [
         [(-1, (1, 2)), (1, (0, 3))],
         [(-1, (0,)), (-1, (3,))],
         [(1, ())],
@@ -487,7 +492,9 @@ def test_walk_coefficients_match_charpoly_int():
     def same_coefficients(a):
         n = len(a)
         full = _charpoly_int(_flat(a), n)
-        assert _walk_coefficients(_flat(a), n) == (full[n - 3], full[n - 1])
+        # the support read off the rows, and the caller's one map(bool) pass
+        rows_support = tuple([e != 0 for row in a for e in row])
+        assert _walk_coefficients(_flat(a), n, rows_support) == (full[n - 3], full[n - 1])
         assert _walk_coefficients(_flat(a), n, _support(a)[0]) == (full[n - 3], full[n - 1])
 
     same_coefficients()
@@ -525,7 +532,7 @@ def test_power_sums_on_edge_supports():
         for _ in range(5):
             for name, a in _edge_support_matrices(n, rng):
                 full = _charpoly_int(a, n)
-                assert _walk_coefficients(a, n) == (full[n - 3], full[n - 1]), (name, n)
+                assert _walk_coefficients(a, n, tuple(map(bool, a))) == (full[n - 3], full[n - 1]), (name, n)
                 sums = _power_sums(tuple(map(bool, a)), n)(a)
                 assert type(sums) is tuple and len(sums) == 3 and all(type(p) is int for p in sums)
                 if name == "all zero":
@@ -547,7 +554,7 @@ def test_power_sums_cache_stays_bounded():
         n = rng.randint(3, 8)
         a = [rng.choice((0, 0, 1, -2)) for _ in range(n * n)]
         full = _charpoly_int(a, n)
-        assert _walk_coefficients(a, n) == (full[n - 3], full[n - 1])
+        assert _walk_coefficients(a, n, tuple(map(bool, a))) == (full[n - 3], full[n - 1])
         assert _power_sums.cache_info().currsize <= maxsize
 
 
@@ -557,7 +564,8 @@ def test_exactness_guards_raise_on_a_non_integer_entry():
     # not an integer and each path must refuse it rather than round
     half = Fraction(1, 2)
     with pytest.raises(ArithmeticError, match="power sums lost exactness"):
-        _walk_coefficients([0, half, 0, 1, 0, 0, 0, 0, 0], 3)
+        a = [0, half, 0, 1, 0, 0, 0, 0, 0]
+        _walk_coefficients(a, 3, tuple(map(bool, a)))
     with pytest.raises(ArithmeticError, match="trace recursion lost exactness"):
         _charpoly_trace([0, half, 0, 1, 0, 0, 0, 0, 0], 3)
 

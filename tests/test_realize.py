@@ -721,6 +721,11 @@ def test_realize_poly_validation():
         realize_poly(f16, 1, 5, arrangement="alternating")
     with pytest.raises(ValueError, match="backend"):
         realize_poly(f10, 0, 5, backend="decimal")
+    # block counts are ints: True is not t = 1, and 1.0 is not a count
+    f16 = product([Polynomial((k, 0, 1)) for k in (1, 2, 3, 4, 5, 6, 7, 8)])
+    for t, d, name in ((True, 5, "t"), (1.0, 5, "t"), (1, 5.0, "d"), (0, True, "d"), (1, "5", "d")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            realize_poly(f16, t, d)
 
 
 def test_realize_poly_rejects_tolerance_of_one_or_more():

@@ -158,10 +158,11 @@ def test_sampler_consumes_the_randint_stream(pattern):
     # gives other numbers or another state
     verify = importlib.import_module("signspectra.verify")
     n = pattern.n
-    key, positions, signs = verify._flat_pattern(pattern)
+    key, positions, signs, plus = pattern._flat
     nonzeros = [(i, j) for i in range(n) for j in range(n) if pattern[i, j] is not Sign.ZERO]
     assert [divmod(p, n) for p in positions] == nonzeros
     assert key == tuple(pattern[i, j] is not Sign.ZERO for i in range(n) for j in range(n))
+    assert plus == [pattern[i, j] is Sign.PLUS for i, j in nonzeros]
     for seed in (0, 1, 7, 2024, 2**40 + 3):
         ref, mine, sampled = random.Random(seed), random.Random(seed), random.Random(seed)
         for _ in range(4):
@@ -301,27 +302,28 @@ def test_identity_check_separates_the_patterns():
     verify = importlib.import_module("signspectra.verify")
     pattern = builtin_pattern("Tprime")
     rng = random.Random(5)
-    _, positions, signs = verify._flat_pattern(pattern)
+    _, positions, signs, _ = pattern._flat
     for _ in range(50):
         a = verify._scaled_sample(6, positions, *verify._draw(signs, rng))
-        assert not verify._identity_holds("T", a)
-        assert verify._identity_holds("Tprime", a)
+        support = tuple(map(bool, a))
+        assert not verify._identity_holds("T", a, support)
+        assert verify._identity_holds("Tprime", a, support)
 
 
 def test_identity_reads_the_sample_support_not_the_named_pattern():
     # one extra nonzero at (3, 1) on a T sample closes the 3-cycle 1 -> 2 -> 3,
     # whose term T's identity lacks: the check must see the entry even though
-    # the named pattern has no arc there
-    # (the two-argument call reads the support of the a it is given)
+    # the named pattern has no arc there; the walks are those of the support
+    # passed in, so T's own key misses the entry
     verify = importlib.import_module("signspectra.verify")
-    _, positions, signs = verify._flat_pattern(builtin_pattern("T"))
+    key, positions, signs, _ = builtin_pattern("T")._flat
     a = verify._scaled_sample(6, positions, *verify._draw(signs, random.Random(3)))
-    assert verify._identity_holds("T", a)
+    assert verify._identity_holds("T", a, tuple(map(bool, a)))
     a[12] = 1
-    assert not verify._identity_holds("T", a)
-    assert verify._identity_holds("Tprime", a)
     assert not verify._identity_holds("T", a, tuple(map(bool, a)))
     assert verify._identity_holds("Tprime", a, tuple(map(bool, a)))
+    assert verify._identity_holds("T", a, key)
+    assert not verify._identity_holds("Tprime", a, key)
 
 
 def test_identity_verdict_matches_char_poly_on_the_same_sample():
@@ -336,7 +338,7 @@ def test_identity_verdict_matches_char_poly_on_the_same_sample():
     cases, scales = [], []
     for which in ("T", "Tprime"):
         pattern = builtin_pattern(which)
-        _, positions, signs = verify._flat_pattern(pattern)
+        _, positions, signs, _ = pattern._flat
         for _ in range(100):
             ks, ls = verify._draw(signs, rng)
             cases.append(
@@ -362,7 +364,7 @@ def test_identity_verdict_matches_char_poly_on_the_same_sample():
         cycle = rows[0][1] * rows[1][2] * rows[2][0]
         for which, e3 in (("T", expected3), ("Tprime", expected3 - cycle)):
             holds = c[5] == -head and c[3] == e3
-            assert verify._identity_holds(which, a) == holds
+            assert verify._identity_holds(which, a, tuple(map(bool, a))) == holds
             verdicts[which].add(holds)
     assert verdicts == {"T": {True, False}, "Tprime": {True, False}}
 
